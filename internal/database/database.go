@@ -268,7 +268,7 @@ func (r *Relation) Match(mask uint64, key Row, lo, hi int) []int32 {
 }
 
 // indexFor returns the persistent index on mask, building it by a
-// single full scan on first use.
+// two-pass full scan (relIndex.build) on first use.
 func (r *Relation) indexFor(mask uint64) *relIndex {
 	if idx, ok := r.indexes[mask]; ok {
 		return idx
@@ -280,10 +280,7 @@ func (r *Relation) indexFor(mask uint64) *relIndex {
 		}
 	}
 	idx := &relIndex{cols: cols}
-	idx.presize(r.n)
-	for i := 0; i < r.n; i++ {
-		r.scratch = idx.add(r, int32(i), r.scratch)
-	}
+	r.scratch = idx.build(r, r.scratch)
 	if r.indexes == nil {
 		r.indexes = make(map[uint64]*relIndex)
 	}
@@ -293,7 +290,7 @@ func (r *Relation) indexFor(mask uint64) *relIndex {
 }
 
 // EnsureIndex builds the persistent index on mask if it does not exist
-// yet, by a single full scan. It is the write-phase half of the
+// yet, by a full scan. It is the write-phase half of the
 // concurrent probing contract: the parallel evaluator ensures every
 // index its compiled rules will probe between rounds, so that Probe is
 // a pure read during the round. Mask semantics match Match.

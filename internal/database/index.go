@@ -107,10 +107,10 @@ func (s *rowSet) remap(newID []int32, first, oldN, w int) {
 	s.hashes = s.hashes[:w]
 	s.n = w
 	m := len(s.table) - 1
+	// Every hole's following cluster is re-homed, even when a repair
+	// has already refilled the hole: an earlier hole's walk may have
+	// stopped there while it was still empty.
 	for _, hi := range holes {
-		if s.table[hi] != 0 {
-			continue // an earlier repair re-homed an entry here
-		}
 		for j := (int(hi) + 1) & m; s.table[j] != 0; j = (j + 1) & m {
 			id := s.table[j] - 1
 			s.table[j] = 0
@@ -196,17 +196,108 @@ func (idx *relIndex) add(rel *Relation, id int32, scratch Row) Row {
 	return key
 }
 
-// presize pre-allocates the table and entry slab for a build over n
-// rows, so a full-scan construction never rehashes through the doubling
-// ladder. n is an upper bound on the distinct-key count; the load
-// factor matches grow's 3/4 threshold, so incremental adds after the
-// build behave identically to an un-presized index.
+// build fills an empty index from the relation's rows in two passes, so
+// a full-scan construction allocates a fixed handful of slices, never
+// one per key.
+//
+// Pass 1 maps every row to the first row sharing its key, through a
+// scratch linear-probe table of those first rows that doubles at the
+// same 3/4 load as the index table. Once the key count is known, the
+// entries are allocated exactly and placed in first-occurrence order
+// into a table of the size incremental adds would have grown, which
+// yields the very entry order and table layout of an index grown row by
+// row. Pass 2 counting-sorts the row IDs by entry into one slab and
+// carves each posting list from it with capacity equal to its length:
+// postings stay ascending, and a later append reallocates only that
+// key's list instead of writing into its neighbour's.
+func (idx *relIndex) build(rel *Relation, scratch Row) Row {
+	n := rel.n
+	// entryOf holds each row's first row with the same key, then its
+	// entry index.
+	entryOf := make([]int32, n)
+	var firsts []int32 // first row ID + 1; 0 = empty
+	keys := 0
+	for i := 0; i < n; i++ {
+		if 4*(keys+1) > 3*len(firsts) {
+			firsts, scratch = idx.regrowFirsts(rel, firsts, scratch)
+		}
+		scratch = idx.project(rel, i, scratch[:0])
+		mask := uint64(len(firsts) - 1)
+		j := hashRow(scratch) & mask
+		for firsts[j] != 0 && !idx.keyEqual(rel, int(firsts[j]-1), scratch) {
+			j = (j + 1) & mask
+		}
+		if firsts[j] == 0 {
+			firsts[j] = int32(i) + 1
+			keys++
+		}
+		entryOf[i] = firsts[j] - 1
+	}
+	idx.presize(keys)
+	for i := 0; i < n; i++ {
+		if f := entryOf[i]; f < int32(i) {
+			entryOf[i] = entryOf[f] // the first row was numbered already
+			continue
+		}
+		scratch = idx.project(rel, i, scratch[:0])
+		h := hashRow(scratch)
+		entryOf[i] = int32(len(idx.entries))
+		idx.entries = append(idx.entries, idxEntry{hash: h})
+		idx.place(entryOf[i], h)
+	}
+	// Counting sort: at[e] starts one past entry e's postings; filling
+	// backwards in row order leaves it at their first slab offset.
+	slab := make([]int32, n)
+	at := make([]int32, keys)
+	for _, e := range entryOf {
+		at[e]++
+	}
+	for e := 1; e < keys; e++ {
+		at[e] += at[e-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		e := entryOf[i]
+		at[e]--
+		slab[at[e]] = int32(i)
+	}
+	for e := range idx.entries {
+		hi := int32(n)
+		if e+1 < keys {
+			hi = at[e+1]
+		}
+		idx.entries[e].rows = slab[at[e]:hi:hi]
+	}
+	return scratch
+}
+
+// regrowFirsts returns build's pass-1 table of first rows at twice its
+// size (16 at least), with every row re-placed from its key's hash.
+func (idx *relIndex) regrowFirsts(rel *Relation, old []int32, scratch Row) ([]int32, Row) {
+	t := make([]int32, max(16, 2*len(old)))
+	mask := uint64(len(t) - 1)
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		scratch = idx.project(rel, int(s-1), scratch[:0])
+		j := hashRow(scratch) & mask
+		for t[j] != 0 {
+			j = (j + 1) & mask
+		}
+		t[j] = s
+	}
+	return t, scratch
+}
+
+// presize allocates the table and entry slab for n entries: the entries
+// exactly, and the table at the size incremental adds reach after n
+// entries, so placing n entries in order yields an add-grown layout.
 func (idx *relIndex) presize(n int) {
 	if n == 0 {
 		return
 	}
 	size := 16
-	for 4*(n+1) > 3*size {
+	for 4*n > 3*size {
 		size *= 2
 	}
 	idx.table = make([]int32, size)

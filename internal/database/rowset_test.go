@@ -128,6 +128,11 @@ func TestRowSetRemapWrapAround(t *testing.T) {
 		// A second cluster entirely below the wrap must be untouched by
 		// repairs in the wrapping cluster.
 		{"two-clusters", []uint64{14, 14, 14, 14, 6, 6, 6}, []int{1, 2}},
+		// Holes at slots 3, 9 and 6, repaired in that order: hole 3's walk
+		// stops at the still-empty hole 6 and leaves slot 5 empty, hole 9's
+		// walk then refills hole 6, so the cluster after hole 6 (rows 5
+		// and 6) must be re-homed even though the hole is no longer empty.
+		{"refilled-hole-cluster", []uint64{3, 9, 6, 3, 3, 3, 3, 6}, []int{0, 1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

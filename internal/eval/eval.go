@@ -5,7 +5,9 @@
 // Rules with empty bodies or with head variables not bound by the body
 // (Example 6.2 of the paper uses "dist0(x, x) :- .") are evaluated with
 // active-domain semantics: unbound head variables range over the set of
-// constants occurring in the database or the program.
+// constants occurring in the database or the program. The domain is
+// built only when some rule has such a variable, so evaluations of safe
+// programs never scan the database for it.
 //
 // The hot path runs entirely on the storage engine's interned IDs:
 // rules are compiled to slot form (compile.go), each (rule ×
@@ -189,7 +191,9 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 		explain: explain,
 		strata:  strata,
 	}
-	e.domain = activeDomainIDs(prog, edb)
+	if needsDomain(rules) {
+		e.domain = activeDomainIDs(prog, edb)
+	}
 	stats, err = e.run()
 	st := e.total.StorageStats()
 	stats.IndexHits = st.IndexHits + e.probeHits
@@ -259,6 +263,18 @@ func validateArities(prog *ast.Program, edb *database.DB) error {
 		}
 	}
 	return nil
+}
+
+// needsDomain reports whether any rule has a head variable its body
+// leaves unbound: the matcher enumerates the active domain only for
+// those, so no other evaluation pays for building it.
+func needsDomain(rules []crule) bool {
+	for i := range rules {
+		if len(rules[i].head.unboundGroups) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // activeDomainIDs interns the active domain of the evaluation: the

@@ -182,3 +182,46 @@ func TestStatsIndexBuildsBoundedByMasks(t *testing.T) {
 		t.Errorf("IndexBuilds = %d, want a small program-bounded constant", stats.IndexBuilds)
 	}
 }
+
+// forestTC builds the EDB of a served transitive closure over chains
+// chains of 20 edges: e(cKnI, cKn(I+1)) plus every tc(cKnI, cKnJ), I < J,
+// so each chain contributes 20 e rows and 210 tc rows.
+func forestTC(chains int) *database.DB {
+	db := database.New()
+	for k := 0; k < chains; k++ {
+		for i := 0; i < 20; i++ {
+			db.Add("e", database.Tuple{fmt.Sprintf("c%dn%d", k, i), fmt.Sprintf("c%dn%d", k, i+1)})
+			for j := i + 1; j <= 20; j++ {
+				db.Add("tc", database.Tuple{fmt.Sprintf("c%dn%d", k, i), fmt.Sprintf("c%dn%d", k, j)})
+			}
+		}
+	}
+	return db
+}
+
+// TestLookupAllocsIndependentOfDB pins the per-query set-up cost of a
+// point lookup: evaluating q(Y) :- tc(c0n0, Y). clones the EDB and
+// builds the clone's tc index, and neither may allocate per key or per
+// constant. A 1k-row and a 100k-row tc must cost about the same number
+// of allocations; a domain scan or a slice per posting list would add
+// thousands.
+func TestLookupAllocsIndependentOfDB(t *testing.T) {
+	prog := parser.MustProgram("q(Y) :- tc(c0n0, Y).")
+	allocs := func(chains int) float64 {
+		db := forestTC(chains)
+		if n := db.Lookup("tc").Len(); n != 210*chains {
+			t.Fatalf("tc rows = %d, want %d", n, 210*chains)
+		}
+		return testing.AllocsPerRun(3, func() {
+			rel, _, err := Goal(prog, db, "q", Options{Workers: 1})
+			if err != nil || rel.Len() != 20 {
+				t.Fatalf("q: %v, %d answers, want 20", err, rel.Len())
+			}
+		})
+	}
+	small, large := allocs(5), allocs(476) // 1,050 and 99,960 tc rows
+	t.Logf("allocs per lookup: %.0f at 1k tc rows, %.0f at 100k", small, large)
+	if d := large - small; d >= 100 || d <= -100 {
+		t.Errorf("allocs per lookup: %.0f at 1k tc rows, %.0f at 100k; want within 100", small, large)
+	}
+}

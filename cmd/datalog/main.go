@@ -29,6 +29,7 @@ import (
 	"datalogeq/internal/expansion"
 	"datalogeq/internal/guard"
 	"datalogeq/internal/nonrec"
+	"datalogeq/internal/opt"
 	"datalogeq/internal/parser"
 	"datalogeq/internal/ucq"
 
@@ -101,7 +102,7 @@ func cmdEval(args []string) error {
 	workers := fs.Int("workers", 0, "worker goroutines per evaluation round (0 = all cores); results are identical for every value")
 	explain := fs.Bool("explain", false, "print each rule's chosen join tree (access paths, estimated vs actual rows) to stderr")
 	noPlanner := fs.Bool("no-planner", false, "disable cost-based join ordering and keep the textual atom order; results are identical either way")
-	optimize := fs.Bool("optimize", false, "run the static optimizer on the program (goal-directed, so non-goal relations may be pruned) and evaluate under its SCC-stratified schedule")
+	optimize := fs.Bool("optimize", false, "run the static optimizer on the program before evaluating or maintaining it (goal-directed, so non-goal relations may be pruned); with -explain, print its rewrite report")
 	maxFacts := fs.Int64("max-facts", 0, "budget: abort after deriving this many facts (0 = unlimited); a trip prints the partial result")
 	maxSteps := fs.Int64("max-steps", 0, "budget: abort after this many rule firings (0 = unlimited); a trip prints the partial result")
 	timeout := fs.Duration("timeout", 0, "budget: abort evaluation after this duration (0 = no limit)")
@@ -135,17 +136,23 @@ func cmdEval(args []string) error {
 		NoPlanner: *noPlanner,
 		Budget:    guard.Budget{MaxFacts: *maxFacts, MaxSteps: *maxSteps, MaxWall: *timeout},
 	}
+	if prog.GoalArity(*goal) < 0 {
+		return fmt.Errorf("eval: goal predicate %q does not occur in program", *goal)
+	}
 	if *optimize {
-		opts.Optimize = true
-		opts.OptimizeGoal = *goal
+		optimized, rep, err := opt.Optimize(prog, opt.Options{Goal: *goal})
+		if err != nil {
+			return err
+		}
+		if *explain {
+			fmt.Fprintf(os.Stderr, "%% optimizer:\n%s", rep)
+		}
+		prog = optimized
 	}
 	if *dataDir != "" {
 		return evalDurable(prog, db, *goal, opts, *dataDir, *snapBytes, *maxBytes, *watch, *checkpoint)
 	}
 	if *watch {
-		if prog.GoalArity(*goal) < 0 {
-			return fmt.Errorf("eval: goal predicate %q does not occur in program", *goal)
-		}
 		h, stats, err := eval.Maintain(prog, db, opts)
 		if err != nil {
 			return err
@@ -166,9 +173,6 @@ func cmdEval(args []string) error {
 	var limit *guard.LimitError
 	if err != nil && !errors.As(err, &limit) {
 		return err
-	}
-	if prog.GoalArity(*goal) < 0 {
-		return fmt.Errorf("eval: goal predicate %q does not occur in program", *goal)
 	}
 	lines := goalFactLines(out, *goal)
 	for _, l := range lines {
@@ -217,9 +221,6 @@ func goalFactLines(db *database.DB, goal string) []string {
 // committed through the WAL — each acknowledged update survives a
 // crash. -checkpoint folds the WAL into a snapshot before exit.
 func evalDurable(prog *ast.Program, db *database.DB, goal string, opts eval.Options, dir string, snapBytes, maxBytes int64, watch, checkpoint bool) error {
-	if prog.GoalArity(goal) < 0 {
-		return fmt.Errorf("eval: goal predicate %q does not occur in program", goal)
-	}
 	d, err := database.Open(dir, database.OpenOptions{
 		Budget:        guard.Budget{MaxBytes: maxBytes},
 		SnapshotBytes: snapBytes,

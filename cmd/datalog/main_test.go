@@ -251,3 +251,74 @@ func TestCmdEvalDurable(t *testing.T) {
 		}
 	}
 }
+
+// withStdin runs fn with os.Stdin reading input.
+func withStdin(t *testing.T, input string, fn func() error) error {
+	t.Helper()
+	f := filepath.Join(t.TempDir(), "stdin")
+	if err := os.WriteFile(f, []byte(input), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	old := os.Stdin
+	os.Stdin = in
+	defer func() { os.Stdin = old }()
+	return fn()
+}
+
+// TestCmdEvalOptimizeMaintained: -optimize composes with -watch and
+// with -data. The optimizer prunes junk, which the goal does not need,
+// so the handle must maintain the optimized program rather than count
+// the original rules against the pruned database; either way the goal
+// rows after the updates equal those of the unoptimized run.
+func TestCmdEvalOptimizeMaintained(t *testing.T) {
+	dir := t.TempDir()
+	prog := write(t, dir, "p.dl", `
+		tc(X, Y) :- e(X, Y).
+		tc(X, Y) :- e(X, Z), tc(Z, Y).
+		junk(X) :- e(X, Y), tc(Y, X).
+		goal(Y) :- tc(a, Y).
+	`)
+	db := write(t, dir, "g.dl", "e(a, b). e(b, c). e(c, a).")
+	updates := "+e(c, d).\n-e(b, c).\n"
+	run := func(flags ...string) string {
+		t.Helper()
+		args := append([]string{"-program", prog, "-db", db, "-goal", "goal", "-watch"}, flags...)
+		var out string
+		err := withStdin(t, updates, func() error {
+			var err error
+			out, err = captureStdout(t, func() error { return cmdEval(args) })
+			return err
+		})
+		if err != nil {
+			t.Fatalf("eval %v: %v", flags, err)
+		}
+		return goalLines(out)
+	}
+	want := run()
+	if want != "goal(b)." {
+		t.Fatalf("unoptimized goal rows = %q, want goal(b).", want)
+	}
+	if got := run("-optimize"); got != want {
+		t.Errorf("-optimize -watch goal rows = %q, want %q", got, want)
+	}
+	if got := run("-optimize", "-data", filepath.Join(dir, "store")); got != want {
+		t.Errorf("-optimize -data goal rows = %q, want %q", got, want)
+	}
+}
+
+// goalLines keeps the goal fact lines of eval's stdout, dropping the
+// per-update stats lines.
+func goalLines(out string) string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "goal(") {
+			lines = append(lines, l)
+		}
+	}
+	return strings.Join(lines, "\n")
+}

@@ -33,6 +33,17 @@ func TestCmdEvalExplain(t *testing.T) {
 	if !strings.Contains(detail, "fixed order") {
 		t.Errorf("-no-planner -explain stderr lacks the fixed-order flag:\n%s", detail)
 	}
+	// -optimize -explain prints the optimizer's rewrite report ahead of
+	// the plans of the program it produced.
+	detail = captureStderr(t, func() {
+		err = cmdEval([]string{"-program", prog, "-db", db, "-goal", "p", "-explain", "-optimize"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, q := strings.Index(detail, "optimizer:\nschedule: {p}*"), strings.Index(detail, "query plans:"); o < 0 || q < o {
+		t.Errorf("-optimize -explain stderr lacks the rewrite report before the plans:\n%s", detail)
+	}
 	// -no-planner alone evaluates normally.
 	if err := cmdEval([]string{"-program", prog, "-db", db, "-goal", "p", "-no-planner"}); err != nil {
 		t.Fatal(err)

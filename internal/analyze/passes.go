@@ -8,6 +8,7 @@ import (
 	"datalogeq/internal/ast"
 	"datalogeq/internal/core"
 	"datalogeq/internal/cq"
+	"datalogeq/internal/guard"
 )
 
 // passArity flags predicates used at more than one arity (DL0001,
@@ -348,7 +349,7 @@ func boundedSearch(prog *ast.Program, goal string, depth, maxStates int) (size, 
 			ok = false
 		}
 	}()
-	u, kk, found, err := core.BoundedRewriting(prog, goal, depth, core.Options{MaxStates: maxStates})
+	u, kk, found, err := core.BoundedRewriting(prog, goal, depth, core.Options{Budget: guard.Budget{MaxStates: int64(maxStates)}})
 	if err != nil || !found {
 		return 0, 0, false
 	}

@@ -10,10 +10,10 @@ import (
 
 // passSchedule reports the SCC-stratified evaluation schedule (DL0012,
 // info): the dependence-graph components of the program's intensional
-// predicates in the topological (callees-first) order the optimizing
-// evaluator fixpoints them, recursive components starred. Programs
-// whose schedule is a single nonrecursive stratum get no report —
-// there the stratified driver degenerates to the global round loop.
+// predicates in the topological (callees-first) order the evaluator
+// fixpoints them, recursive components starred. Programs whose
+// schedule is a single nonrecursive stratum get no report — there the
+// schedule is one round.
 func passSchedule(c *context) {
 	if c.arityConflict || len(c.prog.Rules) == 0 {
 		return

@@ -2,7 +2,6 @@ package ast
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -139,97 +138,15 @@ func (p *Program) DependenceGraph() map[PredSym][]PredSym {
 	return edges
 }
 
-// SCCs returns the strongly connected components of the dependence graph
-// in reverse topological order (callees before callers): if component i
-// contains a predicate used by a predicate in component j, then i <= j.
-func (p *Program) SCCs() [][]PredSym {
-	edges := p.DependenceGraph()
-	nodes := make([]PredSym, 0, len(edges))
-	for n := range edges {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Name != nodes[j].Name {
-			return nodes[i].Name < nodes[j].Name
-		}
-		return nodes[i].Arity < nodes[j].Arity
-	})
-
-	// Tarjan's algorithm, iterative over the sorted node order for
-	// determinism.
-	index := make(map[PredSym]int)
-	low := make(map[PredSym]int)
-	onStack := make(map[PredSym]bool)
-	var stack []PredSym
-	var sccs [][]PredSym
-	counter := 0
-
-	var strongconnect func(v PredSym)
-	strongconnect = func(v PredSym) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range edges[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []PredSym
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
-		}
-	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
-	// Tarjan emits SCCs in reverse topological order of the condensation
-	// when edges point from used to user; our edges point q -> p when p
-	// depends on q, so the first finished SCC has no outgoing edges,
-	// i.e. nothing depends on... actually the first emitted SCC is a
-	// sink of the edge relation: a component on which nothing it points
-	// to remains. With q->p edges, a sink is a component whose members
-	// are not used by anything outside. We want callees first, so
-	// reverse the order.
-	for i, j := 0, len(sccs)-1; i < j; i, j = i+1, j-1 {
-		sccs[i], sccs[j] = sccs[j], sccs[i]
-	}
-	return sccs
-}
-
 // RecursivePreds returns the set of predicates that are recursive: those
 // in a dependence-graph cycle (an SCC of size >= 2, or a self-loop).
 func (p *Program) RecursivePreds() map[PredSym]bool {
 	out := make(map[PredSym]bool)
-	edges := p.DependenceGraph()
-	for _, comp := range p.SCCs() {
-		if len(comp) > 1 {
-			for _, n := range comp {
-				out[n] = true
-			}
-			continue
-		}
-		n := comp[0]
-		for _, m := range edges[n] {
-			if m == n {
-				out[n] = true
+	g := p.sccs()
+	for c := 0; c < g.ncomp; c++ {
+		if g.recursive(c) {
+			for _, v := range g.members[g.cstart[c]:g.cstart[c+1]] {
+				out[g.syms[v]] = true
 			}
 		}
 	}

@@ -24,8 +24,7 @@ func BoundedRewriting(prog *ast.Program, goal string, maxDepth int, opts Options
 	if maxDepth < 1 {
 		return ucq.UCQ{}, 0, false, fmt.Errorf("core: maxDepth must be at least 1")
 	}
-	opts.Budget = opts.budget().Started()
-	opts.MaxStates = 0
+	opts.Budget = opts.Budget.Started()
 	for k := 1; k <= maxDepth; k++ {
 		queries := expansion.Expansions(prog, goal, k, 0)
 		u := ucq.Dedup(ucq.New(queries...))

@@ -32,7 +32,7 @@ func CQContainedInProgramOpt(theta cq.CQ, prog *ast.Program, goal string, opts O
 	if theta.Head.Pred != goal {
 		return false, nil
 	}
-	b := opts.budget().Started()
+	b := opts.Budget.Started()
 	meter := b.Meter()
 	if err := meter.Charge("core/canonical", guard.Canon, int64(theta.Size())); err != nil {
 		return false, err
@@ -72,8 +72,7 @@ func UCQContainedInProgram(q ucq.UCQ, prog *ast.Program, goal string) (bool, *cq
 // meters derived from the shared budget.
 func UCQContainedInProgramOpt(q ucq.UCQ, prog *ast.Program, goal string, opts Options) (ok bool, failing *cq.CQ, err error) {
 	defer guard.Recover(&err, "core/ucq-in-program")
-	opts.Budget = opts.budget().Started()
-	opts.MaxStates = 0
+	opts.Budget = opts.Budget.Started()
 	meter := opts.Budget.Meter()
 	for i := range q.Disjuncts {
 		if err := opts.ctxErr(); err != nil {

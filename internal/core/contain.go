@@ -17,12 +17,6 @@ import (
 
 // Options bound the automata constructions.
 type Options struct {
-	// MaxStates aborts a construction whose proof-tree or
-	// strong-mapping automaton exceeds this many states; 0 = unlimited.
-	//
-	// Deprecated: set Budget.MaxStates instead. MaxStates is folded into
-	// the budget when Budget.MaxStates is unset; Budget wins otherwise.
-	MaxStates int
 	// Ctx, when non-nil, cancels a check between stages and inside the
 	// state-construction and antichain loops, returning Ctx.Err().
 	Ctx context.Context
@@ -47,15 +41,6 @@ func (o Options) ctxErr() error {
 		return nil
 	}
 	return o.Ctx.Err()
-}
-
-// budget folds the deprecated MaxStates field into the guard budget.
-func (o Options) budget() guard.Budget {
-	b := o.Budget
-	if b.MaxStates == 0 && o.MaxStates > 0 {
-		b.MaxStates = int64(o.MaxStates)
-	}
-	return b
 }
 
 // Stats reports the sizes of the constructed automata — the quantities
@@ -130,8 +115,7 @@ func degrade(res Result, err error) (Result, error) {
 // and the stats of whatever was constructed, with a nil error.
 func ContainsUCQ(prog *ast.Program, goal string, q ucq.UCQ, opts Options) (res Result, err error) {
 	defer guard.Recover(&err, "core/contains-ucq")
-	opts.Budget = opts.budget().Started()
-	opts.MaxStates = 0
+	opts.Budget = opts.Budget.Started()
 	u, pt, thetas, stats, err := buildAutomata(prog, goal, q, opts)
 	if err != nil {
 		return degrade(Result{Stats: stats}, err)
@@ -303,8 +287,7 @@ func decodeWitness(u *Universe, pt *PtreesResult, t *treeauto.Tree) *Witness {
 // nonrec.InlineNonrecursive.
 func ContainsUCQLinear(prog *ast.Program, goal string, q ucq.UCQ, opts Options) (res Result, err error) {
 	defer guard.Recover(&err, "core/contains-ucq-linear")
-	opts.Budget = opts.budget().Started()
-	opts.MaxStates = 0
+	opts.Budget = opts.Budget.Started()
 	if !prog.IsPathLinear() {
 		return Result{}, fmt.Errorf("core: program is not path-linear; inline its nonrecursive predicates first")
 	}

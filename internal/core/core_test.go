@@ -292,7 +292,7 @@ func TestEmptyUCQ(t *testing.T) {
 
 func TestMaxStatesAborts(t *testing.T) {
 	prog := gen.TransitiveClosure()
-	res, err := ContainsUCQ(prog, "p", gen.TCPathsUCQ(2), Options{MaxStates: 3})
+	res, err := ContainsUCQ(prog, "p", gen.TCPathsUCQ(2), Options{Budget: guard.Budget{MaxStates: 3}})
 	if err != nil {
 		t.Fatalf("budget trips must degrade, not error: %v", err)
 	}

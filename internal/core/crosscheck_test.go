@@ -6,6 +6,7 @@ import (
 
 	"datalogeq/internal/expansion"
 	"datalogeq/internal/gen"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/ucq"
 )
 
@@ -33,11 +34,11 @@ func TestRandomLinearCrossValidation(t *testing.T) {
 			}
 			q.Disjuncts = append(q.Disjuncts, d)
 		}
-		tree, err := ContainsUCQ(prog, "p", q, Options{MaxStates: 200000})
+		tree, err := ContainsUCQ(prog, "p", q, Options{Budget: guard.Budget{MaxStates: 200000}})
 		if err != nil {
 			t.Fatalf("trial %d: tree: %v\n%s%s", trial, err, prog, q)
 		}
-		word, err := ContainsUCQLinear(prog, "p", q, Options{MaxStates: 200000})
+		word, err := ContainsUCQLinear(prog, "p", q, Options{Budget: guard.Budget{MaxStates: 200000}})
 		if err != nil {
 			t.Fatalf("trial %d: word: %v", trial, err)
 		}
@@ -85,7 +86,7 @@ func TestRandomNonlinearAgainstOracle(t *testing.T) {
 			}
 			q.Disjuncts = append(q.Disjuncts, d)
 		}
-		res, err := ContainsUCQ(prog, goal, q, Options{MaxStates: 200000})
+		res, err := ContainsUCQ(prog, goal, q, Options{Budget: guard.Budget{MaxStates: 200000}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

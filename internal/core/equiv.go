@@ -125,8 +125,7 @@ func degradeEquiv(out EquivResult, err error) (EquivResult, error) {
 // nil error. Both directions share one wall deadline.
 func EquivalentToNonrecursive(prog *ast.Program, goal string, nr *ast.Program, opts Options) (out EquivResult, err error) {
 	defer guard.Recover(&err, "core/equiv-nonrec")
-	opts.Budget = opts.budget().Started()
-	opts.MaxStates = 0
+	opts.Budget = opts.Budget.Started()
 	if nr.IsRecursive() {
 		return EquivResult{}, fmt.Errorf("core: second program is recursive")
 	}
@@ -177,8 +176,7 @@ func EquivalentToNonrecursive(prog *ast.Program, goal string, nr *ast.Program, o
 // degrades to Verdict == Unknown exactly as in EquivalentToNonrecursive.
 func EquivalentToUCQ(prog *ast.Program, goal string, q ucq.UCQ, opts Options) (out EquivResult, err error) {
 	defer guard.Recover(&err, "core/equiv-ucq")
-	opts.Budget = opts.budget().Started()
-	opts.MaxStates = 0
+	opts.Budget = opts.Budget.Started()
 	out.UnfoldedDisjuncts = q.Size()
 	res, err := ContainsUCQ(prog, goal, q, opts)
 	if err != nil {

@@ -2,6 +2,13 @@
 // semantics Q_Π(D) = ∪_i Q^i_Π(D) of paper §2.1. Both naive and
 // semi-naive fixpoint strategies are provided; semi-naive is the default.
 //
+// Evaluation is stratified: the program's dependence-graph components
+// (ast.Program.Strata) are fixpointed one at a time in callees-first
+// order, so a nonrecursive stratum — a union of conjunctive queries over
+// completed relations — fires once per body match, and only recursive
+// strata loop. Static rewriting (internal/opt) is a separate pass that
+// callers run before handing the program here.
+//
 // Rules with empty bodies or with head variables not bound by the body
 // (Example 6.2 of the paper uses "dist0(x, x) :- .") are evaluated with
 // active-domain semantics: unbound head variables range over the set of
@@ -10,7 +17,7 @@
 // programs never scan the database for it.
 //
 // The hot path runs entirely on the storage engine's interned IDs:
-// rules are compiled to slot form (compile.go), each (rule ×
+// rules are compiled to slot form (plan.CompileRules), each (rule ×
 // delta-position) task is planned by the cost-based join planner
 // (internal/plan) into an operator tree of index probes and filtered
 // scans ordered by live cardinality statistics — plans are cached by
@@ -23,8 +30,11 @@
 // store, fans the rule firings out over Options.Workers goroutines that
 // probe the frozen snapshot lock-free, and applies the buffered
 // derivations in a single-threaded, canonically ordered merge. The
-// output database, Stats, and MaxFacts abort point are bit-identical
-// for every worker count.
+// output database, Stats, and budget trip points are bit-identical for
+// every worker count.
+//
+// Incremental maintenance (Maintain, MaintainDurable) is implemented by
+// internal/ivm over the same compiled rules and planner.
 package eval
 
 import (
@@ -39,7 +49,8 @@ import (
 
 // Stats reports work done by an evaluation.
 type Stats struct {
-	// Iterations is the number of fixpoint rounds executed.
+	// Iterations is the number of fixpoint rounds executed, summed over
+	// the strata.
 	Iterations int
 	// Derived is the number of distinct IDB facts derived.
 	Derived int
@@ -84,14 +95,6 @@ type Options struct {
 	// Naive selects the naive strategy (recompute every rule against
 	// the full store each round) instead of semi-naive.
 	Naive bool
-	// MaxFacts aborts evaluation once more than this many IDB facts
-	// have been derived; 0 means unlimited. Deprecated compatibility
-	// shim: it is folded into Budget.MaxFacts (which wins when both are
-	// set) so eval shares the guard accounting path with the decision
-	// procedures. The bound is enforced at every merge in canonical
-	// order, so the abort round and the reported fact count are
-	// identical for every worker count.
-	MaxFacts int
 	// Budget declares guard-layer resource limits: derived facts
 	// (Facts), rule-body firings (Steps), and wall time, all enforced at
 	// single-threaded points so trips are bit-identical for every worker
@@ -109,24 +112,6 @@ type Options struct {
 	// round; 0 or negative means runtime.GOMAXPROCS(0). Results are
 	// bit-identical for every value.
 	Workers int
-	// Optimize runs the internal/opt static optimizer over the program
-	// before compilation (requires that package to be linked in; it
-	// registers itself via RegisterOptimizer) and evaluates the result
-	// under its SCC-stratified schedule: each dependence-graph component
-	// is fixpointed to completion in topological order instead of one
-	// global round loop. The goal relation — and, when OptimizeGoal is
-	// unset, the entire fixpoint — is identical with and without the
-	// flag; Stats.Iterations counts the per-stratum rounds, so round
-	// counts differ from the global loop. The schedule and every rewrite
-	// are computed single-threaded in canonical order, so the
-	// worker-count bit-determinism contract is unchanged.
-	Optimize bool
-	// OptimizeGoal names the goal predicate for Optimize's goal-directed
-	// rewrites (dead-code elimination, constant propagation, recursion
-	// elimination). When set, relations the goal does not depend on may
-	// be absent from the output database; "" applies only
-	// fixpoint-preserving rewrites.
-	OptimizeGoal string
 	// Ctx, when non-nil, cancels evaluation: long 2EXPTIME-ish runs
 	// return Ctx.Err() promptly (workers poll a cancellation flag
 	// between and within tasks) with a partial database.
@@ -136,16 +121,6 @@ type Options struct {
 // window is a half-open range [lo, hi) of row IDs in a relation's slab:
 // the facts a predicate gained during one fixpoint round.
 type window struct{ lo, hi int }
-
-// budget folds the deprecated MaxFacts shim into the guard budget:
-// Budget.MaxFacts wins when both are set.
-func (o Options) budget() guard.Budget {
-	b := o.Budget
-	if b.MaxFacts == 0 && o.MaxFacts > 0 {
-		b.MaxFacts = int64(o.MaxFacts)
-	}
-	return b
-}
 
 // Eval computes the least fixpoint of prog over edb and returns a new
 // database containing all EDB facts plus every derived IDB fact. The
@@ -170,26 +145,16 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 	if err := validateArities(prog, edb); err != nil {
 		return nil, Stats{}, nil, err
 	}
-	prog, optSummary, err := opts.optimize(prog)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	var strata []ast.Stratum
-	if opts.Optimize {
-		strata = prog.Strata()
-	}
-	rules, maxVars := compileRules(prog)
+	rules, maxVars := plan.CompileRules(prog)
 	e := &evaluator{
 		prog:    prog,
 		rules:   rules,
 		maxVars: maxVars,
 		total:   edb.Clone(),
 		opts:    opts,
-		meter:   opts.budget().Started().Meter(),
+		meter:   opts.Budget.Started().Meter(),
 		planner: &plan.Planner{Fixed: opts.NoPlanner},
-		frozen:  make(map[string]int),
 		explain: explain,
-		strata:  strata,
 	}
 	if needsDomain(rules) {
 		e.domain = activeDomainIDs(prog, edb)
@@ -207,7 +172,6 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 	stats.Budget = e.meter.Usage()
 	if explain {
 		ex = e.buildExplain(stats)
-		ex.Opt = optSummary
 	}
 	return e.total, stats, ex, err
 }
@@ -268,9 +232,9 @@ func validateArities(prog *ast.Program, edb *database.DB) error {
 // needsDomain reports whether any rule has a head variable its body
 // leaves unbound: the matcher enumerates the active domain only for
 // those, so no other evaluation pays for building it.
-func needsDomain(rules []crule) bool {
+func needsDomain(rules []plan.Rule) bool {
 	for i := range rules {
-		if len(rules[i].head.unboundGroups) > 0 {
+		if len(rules[i].UnboundGroups) > 0 {
 			return true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"datalogeq/internal/database"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
@@ -160,9 +161,9 @@ func TestMaxFacts(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		db.Add("e", database.Tuple{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)})
 	}
-	_, _, err := Eval(prog, db, Options{MaxFacts: 10})
+	_, _, err := Eval(prog, db, Options{Budget: guard.Budget{MaxFacts: 10}})
 	if err == nil {
-		t.Error("MaxFacts should abort")
+		t.Error("Budget.MaxFacts should abort")
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"datalogeq/internal/ast"
@@ -47,10 +48,12 @@ import (
 // produced the plans. Only the index-usage counters and the plan-cache
 // statistics differ between the two modes.
 //
-// This is Jacobi-style iteration: facts derived in round i are visible
-// to joins from round i+1 on, never mid-round. The fixpoint is the same
-// (every round is monotone and bounded by the naive fixpoint), though
-// round counts can differ from an engine with mid-round visibility.
+// Rounds run per stratum (ast.Program.Strata), callees-first: each
+// stratum's rules are fixpointed to completion before the next stratum
+// starts. Within a stratum this is Jacobi-style iteration: facts
+// derived in round i are visible to joins from round i+1 on, never
+// mid-round. The schedule is a pure function of the program, so the
+// determinism contract above holds across strata too.
 
 // task is one unit of parallel work: fire rule against the frozen
 // store, with body position deltaPos (if >= 0) restricted to window w,
@@ -85,7 +88,7 @@ type planTrace struct {
 
 type evaluator struct {
 	prog    *ast.Program
-	rules   []crule
+	rules   []plan.Rule
 	maxVars int
 	total   *database.DB
 	domain  []uint32
@@ -97,15 +100,12 @@ type evaluator struct {
 	stop     *atomic.Bool
 	matchers []*matcher
 
-	// strata, when non-nil, is the SCC-stratified evaluation schedule
-	// (Options.Optimize): each stratum's rules are fixpointed to
-	// completion before the next stratum starts. nil runs the single
-	// global round loop.
-	strata []ast.Stratum
-
-	// frozen records each relation's length at the current round
-	// boundary; advance turns growth beyond it into delta windows.
-	frozen map[string]int
+	// heads lists the program's distinct head predicates, sorted: the
+	// only relations an evaluation grows. marks[i] is heads[i]'s growth
+	// over the last round — rows [lo, hi), with hi its length at the
+	// current round boundary.
+	heads []string
+	marks []window
 
 	// planMemo short-circuits the plan-cache probe per (rule, deltaPos):
 	// while the stats epoch is unchanged the planner would return the
@@ -140,21 +140,23 @@ func (e *evaluator) run() (Stats, error) {
 	e.stop = stop
 	defer release()
 
-	if e.strata == nil {
-		e.snapshot()
-		return e.stats, e.fixpoint(nil)
+	// Every body predicate of a stratum's rules is extensional or
+	// defined in the same or an earlier — already completed — stratum,
+	// so the union of the per-stratum fixpoints is the program's least
+	// fixpoint. A completed fixpoint leaves the marks at the current
+	// lengths, so the next stratum starts from them.
+	e.heads = make([]string, len(e.rules))
+	for i := range e.rules {
+		e.heads[i] = e.rules[i].HeadPred
 	}
-	// Stratified driver: fixpoint each dependence-graph component to
-	// completion in topological (callees-first) order. Every body
-	// predicate of a stratum's rules is extensional or defined in the
-	// same or an earlier — already completed — stratum, so the union of
-	// the per-stratum fixpoints is the program's least fixpoint. The
-	// schedule is a pure function of the program and each stratum runs
-	// the same plan/fire/merge phases as the global loop, so the
-	// worker-count determinism contract is unchanged; only the round
-	// structure (and hence Stats.Iterations) differs.
-	for _, s := range e.strata {
-		e.snapshot()
+	slices.Sort(e.heads)
+	e.heads = slices.Compact(e.heads)
+	e.marks = make([]window, len(e.heads))
+	for i, p := range e.heads {
+		n := e.relLen(p)
+		e.marks[i] = window{n, n}
+	}
+	for _, s := range e.prog.Strata() {
 		if err := e.fixpoint(s.Rules); err != nil {
 			return e.stats, err
 		}
@@ -162,10 +164,10 @@ func (e *evaluator) run() (Stats, error) {
 	return e.stats, nil
 }
 
-// fixpoint runs the round loop restricted to ruleSet (nil = every rule)
-// until the restricted rules derive nothing new.
+// fixpoint runs the round loop over one stratum's rules until they
+// derive nothing new.
 func (e *evaluator) fixpoint(ruleSet []int) error {
-	var delta map[string]window // nil: fire every rule against the full store
+	full := true // fire every rule against the full store
 	for {
 		if err := e.ctxErr(); err != nil {
 			return err
@@ -173,11 +175,11 @@ func (e *evaluator) fixpoint(ruleSet []int) error {
 		if err := e.meter.CheckWall("eval/round"); err != nil {
 			return err
 		}
-		tasks := e.buildTasks(ruleSet, delta)
-		if ruleSet != nil && delta != nil && len(tasks) == 0 {
-			// Stratified semi-naive: the last growth feeds no rule of this
-			// stratum (typical for a nonrecursive stratum), so the stratum
-			// is complete without an empty round.
+		tasks := e.buildTasks(ruleSet, full)
+		if len(tasks) == 0 {
+			// The last growth feeds no rule of this stratum (under
+			// semi-naive, always so for a nonrecursive stratum), so it is
+			// complete without an empty round.
 			return nil
 		}
 		if err := e.planTasks(tasks); err != nil {
@@ -193,15 +195,10 @@ func (e *evaluator) fixpoint(ruleSet []int) error {
 		if mergeErr != nil {
 			return mergeErr
 		}
-		next := e.advance()
-		if len(next) == 0 {
+		if !e.advance() {
 			return nil
 		}
-		if e.opts.Naive {
-			delta = nil
-		} else {
-			delta = next
-		}
+		full = e.opts.Naive
 	}
 }
 
@@ -213,52 +210,42 @@ func (e *evaluator) ctxErr() error {
 	return e.opts.Ctx.Err()
 }
 
-// snapshot records the current length of every relation.
-func (e *evaluator) snapshot() {
-	for _, p := range e.total.Preds() {
-		e.frozen[p] = e.total.Lookup(p).Len()
+// relLen is the length of pred's relation; 0 before it exists.
+func (e *evaluator) relLen(pred string) int {
+	if r := e.total.Lookup(pred); r != nil {
+		return r.Len()
 	}
+	return 0
 }
 
-// advance returns the windows of rows appended by the last merge and
-// moves the frozen marks to the current lengths. Relations created
-// since the last round have an implicit mark of 0.
-func (e *evaluator) advance() map[string]window {
-	delta := make(map[string]window)
-	for _, p := range e.total.Preds() {
-		n := e.total.Lookup(p).Len()
-		if m := e.frozen[p]; n > m {
-			delta[p] = window{m, n}
-		}
-		e.frozen[p] = n
+// advance moves every head's mark to its current length, recording the
+// rows appended by the last merge as its delta window, and reports
+// whether any relation grew.
+func (e *evaluator) advance() bool {
+	grew := false
+	for i, p := range e.heads {
+		lo, hi := e.marks[i].hi, e.relLen(p)
+		e.marks[i] = window{lo, hi}
+		grew = grew || hi > lo
 	}
-	return delta
+	return grew
 }
 
-// buildTasks lists the round's work in canonical order: rules in
-// program order (restricted to ruleSet when non-nil — the active
-// stratum's ascending rule indexes); within a rule, delta positions in
+// buildTasks lists the round's work in canonical order: the stratum's
+// rules in ascending program order; within a rule, delta positions in
 // body order. The merge replays results in this same order.
-func (e *evaluator) buildTasks(ruleSet []int, delta map[string]window) []task {
+func (e *evaluator) buildTasks(ruleSet []int, full bool) []task {
 	var tasks []task
-	add := func(ri int) {
-		if delta == nil {
+	for _, ri := range ruleSet {
+		if full {
 			tasks = append(tasks, task{rule: ri, deltaPos: -1})
-			return
+			continue
 		}
-		for _, bi := range e.rules[ri].idbBody {
-			if w, ok := delta[e.rules[ri].body[bi].Pred]; ok {
+		for _, bi := range e.rules[ri].IDBBody {
+			hi, _ := slices.BinarySearch(e.heads, e.rules[ri].Body[bi].Pred)
+			if w := e.marks[hi]; w.hi > w.lo {
 				tasks = append(tasks, task{rule: ri, deltaPos: bi, w: w})
 			}
-		}
-	}
-	if ruleSet == nil {
-		for ri := range e.rules {
-			add(ri)
-		}
-	} else {
-		for _, ri := range ruleSet {
-			add(ri)
 		}
 	}
 	return tasks
@@ -287,7 +274,7 @@ func (e *evaluator) planTasks(tasks []task) error {
 		r := &e.rules[t.rule]
 		mrow := e.planMemo[t.rule]
 		if mrow == nil {
-			mrow = make([]planMemoEntry, len(r.body)+1)
+			mrow = make([]planMemoEntry, len(r.Body)+1)
 			e.planMemo[t.rule] = mrow
 		}
 		me := &mrow[t.deltaPos+1]
@@ -299,13 +286,10 @@ func (e *evaluator) planTasks(tasks []task) error {
 			continue
 		}
 		p, cached := e.planner.Plan(plan.Request{
-			Atoms:       r.body,
-			Fingerprint: r.fp,
-			NumSlots:    r.nvars,
-			HeadSlots:   r.headSlots,
-			DeltaPos:    t.deltaPos,
-			DB:          e.total,
-			Epoch:       epoch,
+			Rule:     r,
+			DeltaPos: t.deltaPos,
+			DB:       e.total,
+			Epoch:    epoch,
 		})
 		t.p = p
 		me.p, me.epoch = p, epoch
@@ -365,17 +349,17 @@ func (e *evaluator) merge(tasks []task, results []taskResult) error {
 		if e.limitErr != nil {
 			continue
 		}
-		h := &e.rules[tasks[ti].rule].head
-		arity := len(h.args)
+		r := &e.rules[tasks[ti].rule]
+		arity := len(r.Head)
 		if arity == 0 {
 			for k := 0; k < res.count && e.limitErr == nil; k++ {
-				e.addFact(h.pred, database.Row{})
+				e.addFact(r.HeadPred, database.Row{})
 			}
 			continue
 		}
 		rows := res.rows
 		for off := 0; off+arity <= len(rows) && e.limitErr == nil; off += arity {
-			e.addFact(h.pred, database.Row(rows[off:off+arity]))
+			e.addFact(r.HeadPred, database.Row(rows[off:off+arity]))
 		}
 	}
 	return e.limitErr

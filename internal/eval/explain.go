@@ -20,10 +20,6 @@ type Explain struct {
 	// Plan-cache totals, duplicated from Stats for self-contained
 	// rendering.
 	PlanCacheHits, PlanCacheMisses, PlanReplans uint64
-	// Opt is the static optimizer's per-pass summary when
-	// Options.Optimize ran; nil otherwise. The rule plans above describe
-	// the optimized program.
-	Opt *OptSummary
 }
 
 // RuleExplain groups the plans chosen for one source rule.
@@ -60,10 +56,6 @@ type PlanExplain struct {
 // String renders the whole report.
 func (ex *Explain) String() string {
 	var b strings.Builder
-	if ex.Opt != nil {
-		b.WriteString("optimizer:\n")
-		b.WriteString(ex.Opt.String())
-	}
 	for _, re := range ex.Rules {
 		fmt.Fprintf(&b, "%s\n", re.Rule)
 		for _, pe := range re.Plans {
@@ -112,12 +104,12 @@ func (e *evaluator) buildExplain(stats Stats) *Explain {
 		}
 		r := &e.rules[ri]
 		name := func(slot int) string {
-			if slot >= 0 && slot < len(r.names) {
-				return r.names[slot]
+			if slot >= 0 && slot < len(r.Names) {
+				return r.Names[slot]
 			}
 			return fmt.Sprintf("s%d", slot)
 		}
-		re := RuleExplain{Rule: r.src.String()}
+		re := RuleExplain{Rule: r.Src.String()}
 		for _, tr := range trs {
 			est := make([]float64, len(tr.p.Steps))
 			for i := range tr.p.Steps {

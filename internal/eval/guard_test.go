@@ -73,24 +73,6 @@ func TestEvalStatsReportBudgetUsage(t *testing.T) {
 	}
 }
 
-// TestEvalMaxFactsShimEquivalence: the deprecated Options.MaxFacts and
-// Budget.MaxFacts abort at the same point with the same partial result.
-func TestEvalMaxFactsShimEquivalence(t *testing.T) {
-	prog := parser.MustProgram(transitive)
-	db := gen.ChainGraph(20)
-	shimOut, shimStats, shimErr := eval.Eval(prog, db, eval.Options{MaxFacts: 13})
-	budOut, budStats, budErr := eval.Eval(prog, db, eval.Options{Budget: guard.Budget{MaxFacts: 13}})
-	if shimErr == nil || budErr == nil || shimErr.Error() != budErr.Error() {
-		t.Fatalf("shim err %v vs budget err %v", shimErr, budErr)
-	}
-	if statsComparable(shimStats) != statsComparable(budStats) {
-		t.Errorf("shim stats %+v vs budget stats %+v", shimStats, budStats)
-	}
-	if shimOut.String() != budOut.String() {
-		t.Error("shim and budget partial databases differ")
-	}
-}
-
 // TestEvalWallBudget: an already-expired wall budget aborts the run at
 // the first round boundary with a wall LimitError.
 func TestEvalWallBudget(t *testing.T) {

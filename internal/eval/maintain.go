@@ -10,9 +10,8 @@ import (
 )
 
 // Incremental view maintenance entry points. The algorithm lives in
-// internal/ivm, which evaluates through this package's machinery; the
-// registration indirection below breaks the cycle the same way the
-// static optimizer's hook does (optimize.go).
+// internal/ivm, which evaluates through this package's machinery, so
+// eval cannot import it; ivm registers its factories below instead.
 
 // UpdateStats reports the work one incremental update (Insert or
 // Retract) performed, the maintenance analogue of Stats. Every counter
@@ -54,13 +53,31 @@ func (u UpdateStats) String() string {
 }
 
 // Maintainer is the incremental-maintenance implementation installed by
-// internal/ivm. Facts are ground atoms; both methods run the counting
-// delta algorithm over the affected strata only and leave the live
-// database at exactly the fixpoint a from-scratch evaluation of
-// (base ± facts) would produce.
+// internal/ivm. Facts are ground atoms; Insert and Retract run the
+// counting delta algorithm over the affected strata only and leave the
+// live database at exactly the fixpoint a from-scratch evaluation of
+// (base ± facts) would produce. Handle exposes every method.
 type Maintainer interface {
+	// Insert adds ground facts to the base database and propagates them
+	// through the materialization. Unknown predicates create new base
+	// relations. A budget trip returns a *guard.LimitError and poisons
+	// the handle (see Err).
 	Insert(facts []ast.Atom) (UpdateStats, error)
+	// Retract removes ground facts from the base database and
+	// propagates the removal: support counts are decremented, rows
+	// losing all support are deleted, and rederivation revives rows
+	// with alternative derivations. Retracting an absent fact is a
+	// no-op. A budget trip returns a *guard.LimitError and poisons the
+	// handle.
 	Retract(facts []ast.Atom) (UpdateStats, error)
+	// InsertTagged is Insert with a durable idempotency tag: the
+	// committed batch records (client, clientSeq), so after any crash
+	// or reconnect ClientSeq still reports the acknowledged pair. On an
+	// in-memory handle the tag is ignored.
+	InsertTagged(facts []ast.Atom, client string, clientSeq uint64) (UpdateStats, error)
+	// RetractTagged is Retract with a durable idempotency tag; see
+	// InsertTagged.
+	RetractTagged(facts []ast.Atom, client string, clientSeq uint64) (UpdateStats, error)
 	// DB returns the live maintained database (base facts plus every
 	// derived fact, with support counts on IDB relations). Callers must
 	// treat it as read-only; it is only valid between updates.
@@ -70,32 +87,38 @@ type Maintainer interface {
 	// updates; re-evaluating the program over a clone of it reproduces
 	// DB, which is how recovery is verified.
 	Base() *database.DB
-}
-
-// Checkpointer is implemented by durable maintainers: Checkpoint
-// forces a snapshot now (full state written, WAL truncated) instead of
-// waiting for the size threshold.
-type Checkpointer interface {
+	// Checkpoint forces a snapshot on a durable handle: the full state
+	// is written as the next generation and the WAL truncated, so the
+	// next open recovers without replaying. A no-op in memory.
 	Checkpoint() error
-}
-
-// TaggedMaintainer is implemented by durable maintainers that record a
-// client idempotency tag with each committed batch. A serving front end
-// uses it for exactly-once retries: a batch retried with a (client,
-// clientSeq) at or below ClientSeq has already been acknowledged and
-// must not be re-applied.
-type TaggedMaintainer interface {
-	InsertTagged(facts []ast.Atom, client string, clientSeq uint64) (UpdateStats, error)
-	RetractTagged(facts []ast.Atom, client string, clientSeq uint64) (UpdateStats, error)
+	// Seq returns the durable store's committed-batch sequence number:
+	// how many batches have ever been acknowledged durable, counting
+	// from the store's creation. 0 in memory.
+	Seq() uint64
+	// Close releases the durable store behind the handle (acknowledged
+	// commits are already fsynced); a no-op in memory. The handle must
+	// not be used afterwards.
+	Close() error
+	// ClientSeq reports the durable idempotency table's entry for
+	// client: the highest client sequence ever committed under that ID.
+	// A serving front end uses it for exactly-once retries: a batch
+	// retried at or below it has already been acknowledged. (0, false)
+	// when the client is unknown or the handle has no durable store.
 	ClientSeq(client string) (uint64, bool)
+	// Clients returns the durable idempotency table (client ID →
+	// highest committed client sequence); nil without a durable store.
 	Clients() map[string]uint64
-}
-
-// ContextSetter is implemented by maintainers whose updates can be
-// bounded by a per-update context (deadline propagation from a serving
-// front end into the maintenance cascade).
-type ContextSetter interface {
+	// SetUpdateContext bounds later updates with ctx: an expired
+	// context rejects the update up front (handle intact), and a
+	// cancellation mid-cascade aborts it like a budget trip (handle
+	// poisoned). nil clears the bound.
 	SetUpdateContext(ctx context.Context)
+	// Err returns the error that poisoned the handle — a budget trip,
+	// cancellation, or I/O failure mid-update left the materialization
+	// inconsistent — or nil while the handle is healthy. A poisoned
+	// handle refuses further updates; rebuild it from the durable store
+	// (whose state is exactly the acknowledged batches) or from Base.
+	Err() error
 }
 
 // MaintainerFactory builds a Maintainer: it runs the initial fixpoint
@@ -131,121 +154,7 @@ func RegisterDurableMaintainer(f DurableMaintainerFactory) { durableFactory = f 
 // trip are bit-identical across worker counts, matching the engine's
 // evaluation contract.
 type Handle struct {
-	m Maintainer
-}
-
-// Insert adds ground facts to the base database and propagates them
-// through the materialization. Unknown predicates create new base
-// relations. A budget trip returns a *guard.LimitError; the handle is
-// then no longer consistent and must be discarded.
-func (h *Handle) Insert(facts []ast.Atom) (UpdateStats, error) { return h.m.Insert(facts) }
-
-// Retract removes ground facts from the base database and propagates
-// the removal: support counts are decremented, rows losing all support
-// are deleted, and rederivation revives rows with alternative
-// derivations. Retracting an absent fact is a no-op. A budget trip
-// returns a *guard.LimitError; the handle is then no longer consistent
-// and must be discarded.
-func (h *Handle) Retract(facts []ast.Atom) (UpdateStats, error) { return h.m.Retract(facts) }
-
-// DB returns the live maintained database. Read-only; valid between
-// updates.
-func (h *Handle) DB() *database.DB { return h.m.DB() }
-
-// Base returns the asserted base database (no derived rows).
-// Read-only; valid between updates.
-func (h *Handle) Base() *database.DB { return h.m.Base() }
-
-// Checkpoint forces a snapshot on a durable handle: the full state is
-// written as the next generation and the WAL truncated, so the next
-// Open recovers without replaying. On an in-memory handle it is a
-// no-op.
-func (h *Handle) Checkpoint() error {
-	if c, ok := h.m.(Checkpointer); ok {
-		return c.Checkpoint()
-	}
-	return nil
-}
-
-// Seq returns the durable store's committed-batch sequence number: how
-// many batches have ever been acknowledged durable, counting from the
-// store's creation. 0 on an in-memory handle.
-func (h *Handle) Seq() uint64 {
-	if s, ok := h.m.(interface{ Seq() uint64 }); ok {
-		return s.Seq()
-	}
-	return 0
-}
-
-// Close releases the durable store behind the handle (acknowledged
-// commits are already fsynced); a no-op on in-memory handles. The
-// handle must not be used afterwards.
-func (h *Handle) Close() error {
-	if c, ok := h.m.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// InsertTagged is Insert with a durable idempotency tag: the committed
-// batch records (client, clientSeq), so after any crash or reconnect
-// ClientSeq still reports the acknowledged pair. On a maintainer
-// without tag support the facts are applied untagged.
-func (h *Handle) InsertTagged(facts []ast.Atom, client string, clientSeq uint64) (UpdateStats, error) {
-	if tm, ok := h.m.(TaggedMaintainer); ok {
-		return tm.InsertTagged(facts, client, clientSeq)
-	}
-	return h.m.Insert(facts)
-}
-
-// RetractTagged is Retract with a durable idempotency tag; see
-// InsertTagged.
-func (h *Handle) RetractTagged(facts []ast.Atom, client string, clientSeq uint64) (UpdateStats, error) {
-	if tm, ok := h.m.(TaggedMaintainer); ok {
-		return tm.RetractTagged(facts, client, clientSeq)
-	}
-	return h.m.Retract(facts)
-}
-
-// ClientSeq reports the durable idempotency table's entry for client:
-// the highest client sequence ever committed under that ID. (0, false)
-// when the client is unknown or the handle has no durable store.
-func (h *Handle) ClientSeq(client string) (uint64, bool) {
-	if tm, ok := h.m.(TaggedMaintainer); ok {
-		return tm.ClientSeq(client)
-	}
-	return 0, false
-}
-
-// Clients returns the durable idempotency table (client ID → highest
-// committed client sequence); nil without a durable store.
-func (h *Handle) Clients() map[string]uint64 {
-	if tm, ok := h.m.(TaggedMaintainer); ok {
-		return tm.Clients()
-	}
-	return nil
-}
-
-// SetUpdateContext bounds later Insert/Retract calls with ctx: an
-// expired context rejects the update up front (handle intact), and a
-// cancellation mid-cascade aborts it like a budget trip (handle
-// poisoned — the caller must rebuild, see Err). nil clears the bound.
-func (h *Handle) SetUpdateContext(ctx context.Context) {
-	if cs, ok := h.m.(ContextSetter); ok {
-		cs.SetUpdateContext(ctx)
-	}
-}
-
-// Err returns the error that poisoned the handle — a budget trip,
-// cancellation, or I/O failure mid-update left the materialization
-// inconsistent — or nil while the handle is healthy. A poisoned handle
-// refuses further updates; rebuild it from the durable store (whose
-// state is exactly the acknowledged batches) or from Base.
-func (h *Handle) Err() error {
-	if b, ok := h.m.(interface{ Broken() error }); ok {
-		return b.Broken()
-	}
-	return nil
+	Maintainer
 }
 
 // Maintain computes the initial fixpoint of prog over edb and returns a
@@ -263,7 +172,7 @@ func Maintain(prog *ast.Program, edb *database.DB, opts Options) (*Handle, Stats
 	if err != nil {
 		return nil, stats, err
 	}
-	return &Handle{m: m}, stats, nil
+	return &Handle{m}, stats, nil
 }
 
 // MaintainDurable binds a maintained materialization of prog to an
@@ -283,5 +192,5 @@ func MaintainDurable(prog *ast.Program, d *database.Durable, opts Options) (*Han
 	if err != nil {
 		return nil, stats, err
 	}
-	return &Handle{m: m}, stats, nil
+	return &Handle{m}, stats, nil
 }

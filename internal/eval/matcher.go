@@ -23,7 +23,7 @@ type matcher struct {
 
 	// rule is the task currently firing; set by runTask before the
 	// executor runs, read by the OnMatch callback.
-	rule *crule
+	rule *plan.Rule
 
 	// headRow is a reusable scratch row.
 	headRow database.Row
@@ -80,20 +80,10 @@ func (m *matcher) runTask(t task) taskResult {
 // active domain. Rows are copied into the out buffer, so the scratch
 // row is reused across emissions.
 func (m *matcher) emitHead() {
-	h := &m.rule.head
-	row := m.headRow[:0]
-	for _, a := range h.args {
-		switch a.op {
-		case opConst:
-			row = append(row, a.id)
-		case opBound:
-			row = append(row, m.x.Env[a.slot])
-		default: // opBind: unbound, filled by domain enumeration below
-			row = append(row, 0)
-		}
-	}
+	r := m.rule
+	row := r.AppendHead(m.headRow[:0], m.x.Env)
 	m.headRow = row
-	if len(h.unboundGroups) == 0 {
+	if len(r.UnboundGroups) == 0 {
 		m.emit(row)
 		return
 	}
@@ -102,12 +92,12 @@ func (m *matcher) emitHead() {
 		if m.x.Stopped() {
 			return
 		}
-		if g == len(h.unboundGroups) {
+		if g == len(r.UnboundGroups) {
 			m.emit(row)
 			return
 		}
 		for _, id := range m.e.domain {
-			for _, p := range h.unboundGroups[g] {
+			for _, p := range r.UnboundGroups[g] {
 				row[p] = id
 			}
 			assign(g + 1)

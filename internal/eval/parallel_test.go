@@ -13,6 +13,7 @@ import (
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/gen"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
@@ -107,7 +108,7 @@ func TestParallelMatchesSequentialUnboundHeads(t *testing.T) {
 	assertWorkersAgree(t, prog, db, eval.Options{})
 }
 
-// TestParallelMaxFactsAbort asserts the MaxFacts abort is enforced at
+// TestParallelMaxFactsAbort asserts the Budget.MaxFacts abort is enforced at
 // the same round and fact count for every worker count: identical
 // error, Derived, Iterations, and Firings.
 func TestParallelMaxFactsAbort(t *testing.T) {
@@ -116,8 +117,8 @@ func TestParallelMaxFactsAbort(t *testing.T) {
 		p(X, Y) :- e(X, Y).
 	`)
 	db := gen.ChainGraph(30)
-	for _, limit := range []int{1, 7, 50, 200} {
-		assertWorkersAgree(t, prog, db, eval.Options{MaxFacts: limit})
+	for _, limit := range []int64{1, 7, 50, 200} {
+		assertWorkersAgree(t, prog, db, eval.Options{Budget: guard.Budget{MaxFacts: limit}})
 	}
 }
 
@@ -152,7 +153,7 @@ func TestEvalCancellation(t *testing.T) {
 // FuzzParallelEval fuzzes the determinism contract: for any program the
 // parser accepts and any random database over its EDB predicates,
 // evaluation with 4 workers is bit-identical to 1 worker — same
-// database, same stats, same (possibly MaxFacts) error.
+// database, same stats, same (possibly budget-trip) error.
 func FuzzParallelEval(f *testing.F) {
 	files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*.dl"))
 	for _, file := range files {
@@ -170,9 +171,9 @@ func FuzzParallelEval(f *testing.F) {
 			return
 		}
 		db := edbFor(prog, seed, 4, 8)
-		// MaxFacts bounds adversarial blowups and simultaneously fuzzes
+		// A fact budget bounds adversarial blowups and simultaneously fuzzes
 		// the deterministic-abort path.
-		opts := eval.Options{MaxFacts: 2000, Workers: 1}
+		opts := eval.Options{Budget: guard.Budget{MaxFacts: 2000}, Workers: 1}
 		base, baseStats, baseErr := eval.Eval(prog, db, opts)
 		opts.Workers = 4
 		out, stats, err := eval.Eval(prog, db, opts)

@@ -110,9 +110,9 @@ func TestPlannerOffDifferentialBudgetTrips(t *testing.T) {
 		p(X, Y) :- e(X, Y).
 	`)
 	db := gen.ChainGraph(30)
-	for _, limit := range []int{1, 7, 50, 200} {
-		assertModesAgree(t, prog, db, eval.Options{MaxFacts: limit})
-		assertWorkersAgree(t, prog, db, eval.Options{MaxFacts: limit, NoPlanner: true})
+	for _, limit := range []int64{1, 7, 50, 200} {
+		assertModesAgree(t, prog, db, eval.Options{Budget: guard.Budget{MaxFacts: limit}})
+		assertWorkersAgree(t, prog, db, eval.Options{Budget: guard.Budget{MaxFacts: limit}, NoPlanner: true})
 	}
 	for _, limit := range []int64{1, 100, 5000} {
 		assertModesAgree(t, prog, db, eval.Options{Budget: guard.Budget{MaxSteps: limit}})
@@ -225,9 +225,9 @@ func FuzzPlannedEval(f *testing.F) {
 			return
 		}
 		db := edbFor(prog, seed, 4, 8)
-		base, baseStats, baseErr := eval.Eval(prog, db, eval.Options{MaxFacts: 2000, Workers: 1})
+		base, baseStats, baseErr := eval.Eval(prog, db, eval.Options{Budget: guard.Budget{MaxFacts: 2000}, Workers: 1})
 		for _, w := range []int{1, 4} {
-			out, stats, err := eval.Eval(prog, db, eval.Options{MaxFacts: 2000, Workers: w, NoPlanner: true})
+			out, stats, err := eval.Eval(prog, db, eval.Options{Budget: guard.Budget{MaxFacts: 2000}, Workers: w, NoPlanner: true})
 			if tripComparable(err) != tripComparable(baseErr) {
 				t.Fatalf("workers=%d planner-off err = %v, planner-on err = %v", w, err, baseErr)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"datalogeq/internal/ast"
 	"datalogeq/internal/database"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
@@ -105,9 +106,9 @@ func TestMaxFactsAbortsMidRound(t *testing.T) {
 		db.Add("e", database.Tuple{fmt.Sprintf("a%d", i)})
 		db.Add("f", database.Tuple{fmt.Sprintf("b%d", i)})
 	}
-	_, stats, err := Eval(prog, db, Options{MaxFacts: 10})
+	_, stats, err := Eval(prog, db, Options{Budget: guard.Budget{MaxFacts: 10}})
 	if err == nil {
-		t.Fatal("MaxFacts should abort")
+		t.Fatal("Budget.MaxFacts should abort")
 	}
 	if stats.Derived > 11 {
 		t.Errorf("round overshot the bound: derived %d facts, limit 10", stats.Derived)
@@ -205,6 +206,12 @@ func forestTC(chains int) *database.DB {
 // constant. A 1k-row and a 100k-row tc must cost about the same number
 // of allocations; a domain scan or a slice per posting list would add
 // thousands.
+//
+// The 1k-row lookup is also pinned absolutely, at 95 allocations: its
+// cost under a single unstratified round loop. Every evaluation
+// computes its stratification, which saves that loop's empty final
+// round and must cost no more than it; a map-based dependence graph
+// adds about 17.
 func TestLookupAllocsIndependentOfDB(t *testing.T) {
 	prog := parser.MustProgram("q(Y) :- tc(c0n0, Y).")
 	allocs := func(chains int) float64 {
@@ -223,5 +230,8 @@ func TestLookupAllocsIndependentOfDB(t *testing.T) {
 	t.Logf("allocs per lookup: %.0f at 1k tc rows, %.0f at 100k", small, large)
 	if d := large - small; d >= 100 || d <= -100 {
 		t.Errorf("allocs per lookup: %.0f at 1k tc rows, %.0f at 100k; want within 100", small, large)
+	}
+	if small > 95 {
+		t.Errorf("allocs per lookup at 1k tc rows: %.0f, want at most 95", small)
 	}
 }

@@ -53,9 +53,9 @@ func Example11TrendyNR() *ast.Program {
 //	tc(X, Y)  :- e(X, Z), tc(Z, Y).
 //	tc(X, Y)  :- e(X, Y).
 //
-// Under the global Jacobi loop the j and top rules re-fire against
-// every tc delta of every round; the stratified driver runs them once,
-// after tc has converged.
+// The stratified driver fires the j and top rules once per body match,
+// after tc has converged; a single global round loop would re-fire them
+// against every tc delta of every round.
 func LayeredTC() *ast.Program {
 	return parser.MustProgram(`
 		top(X, Y) :- j(X, Y).

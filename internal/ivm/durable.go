@@ -39,12 +39,12 @@ func newDurableMaint(prog *ast.Program, d *database.Durable, opts eval.Options) 
 		if err := prog.Validate(); err != nil {
 			return nil, stats, err
 		}
-		rules, err := compileRules(prog)
+		rules, nslots, err := compile(prog)
 		if err != nil {
 			return nil, stats, err
 		}
 		// Counts were serialized with the live store; wire only.
-		m = wire(prog, rules, snap[0], snap[1], opts)
+		m = wire(prog, rules, nslots, snap[0], snap[1], opts)
 	} else {
 		var err error
 		m, stats, err = newMaint(prog, database.New(), opts)
@@ -102,7 +102,7 @@ func (m *maint) commitDurable(op byte, facts []ast.Atom, us *eval.UpdateStats, m
 }
 
 // Checkpoint forces a snapshot of the current state, truncating the
-// WAL. Implements eval.Checkpointer on durable handles.
+// WAL; a no-op on in-memory handles.
 func (m *maint) Checkpoint() error {
 	if err := m.checkUsable(); err != nil {
 		return err

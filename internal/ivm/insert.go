@@ -146,7 +146,7 @@ func (u *update) propagateInserts(start []int) error {
 			tasks := 0
 			for _, ri := range s.Rules {
 				r := &m.rules[ri]
-				for ai := range r.body {
+				for ai := range r.Body {
 					ti := m.atomIdx[ri][ai]
 					if ti < 0 || prev[ti] >= cur[ti] {
 						continue
@@ -156,11 +156,11 @@ func (u *update) propagateInserts(start []int) error {
 					if err != nil {
 						return err
 					}
-					if cap(u.bounds) < len(r.body) {
-						u.bounds = make([]plan.Window, len(r.body))
+					if cap(u.bounds) < len(r.Body) {
+						u.bounds = make([]plan.Window, len(r.Body))
 					}
-					bounds := u.bounds[:len(r.body)]
-					for aj := range r.body {
+					bounds := u.bounds[:len(r.Body)]
+					for aj := range r.Body {
 						tj := m.atomIdx[ri][aj]
 						switch {
 						case tj < 0:

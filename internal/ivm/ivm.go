@@ -28,8 +28,10 @@
 // worker count, extending the engine's evaluation contract to
 // maintenance.
 //
-// The package registers itself with eval.RegisterMaintainer; use
-// eval.Maintain to construct a handle.
+// Rules are compiled once to plan.Rule, the slot form evaluation fires,
+// and every enumeration runs through the same planner and streaming
+// executor. The package registers itself with eval.RegisterMaintainer;
+// use eval.Maintain to construct a handle.
 package ivm
 
 import (
@@ -50,34 +52,13 @@ func init() {
 	})
 }
 
-// harg is one compiled head argument: an interned constant or a body
-// slot (the maintainable fragment has no unbound head variables).
-type harg struct {
-	isConst bool
-	id      uint32
-	slot    int
-}
-
-// mrule is a rule lowered to slot form for maintenance: the planner's
-// body atoms plus a head template instantiated per match.
-type mrule struct {
-	headPred  string
-	headArity int
-	head      []harg
-	body      []plan.Atom
-	headSlots []int
-	nvars     int
-	fp        string
-	// bindSet is scratch for binding a delta row into the environment:
-	// one flag per slot, reused across calls.
-	bindSet []bool
-}
-
 // maint is the maintained materialization behind an eval.Handle.
 type maint struct {
-	prog   *ast.Program
-	opts   eval.Options
-	rules  []mrule
+	prog  *ast.Program
+	opts  eval.Options
+	rules []plan.Rule
+	// nslots is the largest rule environment size.
+	nslots int
 	strata []ast.Stratum
 	// stratumRecursive[pred] reports whether pred's defining stratum is
 	// recursive — the retraction-side overdelete/exact-count switch.
@@ -158,7 +139,7 @@ func newMaint(prog *ast.Program, edb *database.DB, opts eval.Options) (*maint, e
 	if err := prog.Validate(); err != nil {
 		return nil, eval.Stats{}, err
 	}
-	rules, err := compileRules(prog)
+	rules, nslots, err := compile(prog)
 	if err != nil {
 		return nil, eval.Stats{}, err
 	}
@@ -167,7 +148,7 @@ func newMaint(prog *ast.Program, edb *database.DB, opts eval.Options) (*maint, e
 		// A partial fixpoint cannot be maintained; surface the trip.
 		return nil, stats, err
 	}
-	m := wire(prog, rules, edb.Clone(), live, opts)
+	m := wire(prog, rules, nslots, edb.Clone(), live, opts)
 	m.initCounts()
 	return m, stats, nil
 }
@@ -177,11 +158,12 @@ func newMaint(prog *ast.Program, edb *database.DB, opts eval.Options) (*maint, e
 // fixpoint and does not touch counts — newMaint computes them fresh,
 // while the durable attach path (durable.go) restores them from a
 // snapshot.
-func wire(prog *ast.Program, rules []mrule, base, live *database.DB, opts eval.Options) *maint {
+func wire(prog *ast.Program, rules []plan.Rule, nslots int, base, live *database.DB, opts eval.Options) *maint {
 	m := &maint{
 		prog:             prog,
 		opts:             opts,
 		rules:            rules,
+		nslots:           nslots,
 		strata:           prog.Strata(),
 		stratumRecursive: make(map[string]bool),
 		counted:          make(map[string]bool),
@@ -193,7 +175,7 @@ func wire(prog *ast.Program, rules []mrule, base, live *database.DB, opts eval.O
 		body := make(map[string]bool)
 		preds := make(map[string]bool)
 		for _, ri := range s.Rules {
-			for _, a := range m.rules[ri].body {
+			for _, a := range m.rules[ri].Body {
 				body[a.Pred] = true
 			}
 		}
@@ -211,15 +193,15 @@ func wire(prog *ast.Program, rules []mrule, base, live *database.DB, opts eval.O
 	m.atomIdx = make([][]int, len(m.rules))
 	for ri := range m.rules {
 		r := &m.rules[ri]
-		m.counted[r.headPred] = true
-		m.headRels[ri] = m.live.Relation(r.headPred, r.headArity)
+		m.counted[r.HeadPred] = true
+		m.headRels[ri] = m.live.Relation(r.HeadPred, len(r.Head))
 		m.headRels[ri].EnableCounts()
-		m.deltaMemo[ri] = make([]deltaEntry, len(r.body))
-		m.resMemo[ri] = make([]resEntry, len(r.body))
-		m.bodyRels[ri] = make([]*database.Relation, len(r.body))
-		m.atomIdx[ri] = make([]int, len(r.body))
-		for ai := range r.body {
-			m.bodyRels[ri][ai] = m.live.Relation(r.body[ai].Pred, len(r.body[ai].Args))
+		m.deltaMemo[ri] = make([]deltaEntry, len(r.Body))
+		m.resMemo[ri] = make([]resEntry, len(r.Body))
+		m.bodyRels[ri] = make([]*database.Relation, len(r.Body))
+		m.atomIdx[ri] = make([]int, len(r.Body))
+		for ai := range r.Body {
+			m.bodyRels[ri][ai] = m.live.Relation(r.Body[ai].Pred, len(r.Body[ai].Args))
 		}
 	}
 	return m
@@ -252,15 +234,11 @@ func (m *maint) deltaPlan(ri, ai int, epoch uint64, meter *guard.Meter) (*plan.P
 		m.planner.Hits++
 		return e.p, nil
 	}
-	r := &m.rules[ri]
 	p, cached := m.planner.Plan(plan.Request{
-		Atoms:       r.body,
-		Fingerprint: r.fp,
-		NumSlots:    r.nvars,
-		HeadSlots:   r.headSlots,
-		DeltaPos:    ai,
-		DB:          m.live,
-		Epoch:       epoch,
+		Rule:     &m.rules[ri],
+		DeltaPos: ai,
+		DB:       m.live,
+		Epoch:    epoch,
 	})
 	if !cached {
 		if err := meter.Charge("ivm/plan", guard.Plans, 1); err != nil {
@@ -279,16 +257,12 @@ func (m *maint) residualEntry(ri, ai int, epoch uint64, meter *guard.Meter) (*re
 		m.planner.Hits++
 		return e, nil
 	}
-	r := &m.rules[ri]
 	p, cached := m.planner.Plan(plan.Request{
-		Atoms:       r.body,
-		Fingerprint: r.fp,
-		NumSlots:    r.nvars,
-		HeadSlots:   r.headSlots,
-		DeltaPos:    ai,
-		DB:          m.live,
-		Epoch:       epoch,
-		Residual:    true,
+		Rule:     &m.rules[ri],
+		DeltaPos: ai,
+		DB:       m.live,
+		Epoch:    epoch,
+		Residual: true,
 	})
 	if !cached {
 		if err := meter.Charge("ivm/plan", guard.Plans, 1); err != nil {
@@ -330,7 +304,7 @@ func (m *maint) track() {
 		m.trackIdx[p] = i
 	}
 	for ri := range m.rules {
-		for ai, a := range m.rules[ri].body {
+		for ai, a := range m.rules[ri].Body {
 			if ti, ok := m.trackIdx[a.Pred]; ok {
 				m.atomIdx[ri][ai] = ti
 			} else {
@@ -340,53 +314,19 @@ func (m *maint) track() {
 	}
 }
 
-// compileRules lowers every rule and rejects programs outside the
+// compile lowers every rule and rejects programs outside the
 // maintainable fragment: a head variable the body does not bind ranges
 // over the active domain, which changes retroactively as constants come
 // and go — retraction would not be local.
-func compileRules(prog *ast.Program) ([]mrule, error) {
-	rules := make([]mrule, len(prog.Rules))
-	for ri, r := range prog.Rules {
-		cr := &rules[ri]
-		cr.headPred = r.Head.Pred
-		cr.headArity = len(r.Head.Args)
-		slots := make(map[string]int)
-		slotOf := func(name string) int {
-			s, ok := slots[name]
-			if !ok {
-				s = len(slots)
-				slots[name] = s
-			}
-			return s
+func compile(prog *ast.Program) ([]plan.Rule, int, error) {
+	rules, nslots := plan.CompileRules(prog)
+	for ri := range rules {
+		if r := &rules[ri]; len(r.UnboundGroups) > 0 {
+			v := r.Src.Head.Args[r.UnboundGroups[0][0]].Name
+			return nil, 0, fmt.Errorf("ivm: rule %d (%s): head variable %s is not bound by the body; active-domain rules cannot be maintained incrementally", ri, r.HeadPred, v)
 		}
-		for _, a := range r.Body {
-			pa := plan.Atom{Pred: a.Pred, Args: make([]plan.Arg, 0, len(a.Args))}
-			for _, t := range a.Args {
-				if t.Kind == ast.Const {
-					pa.Args = append(pa.Args, plan.Arg{Const: true, ID: database.Intern(t.Name)})
-				} else {
-					pa.Args = append(pa.Args, plan.Arg{Slot: slotOf(t.Name)})
-				}
-			}
-			cr.body = append(cr.body, pa)
-		}
-		for _, t := range r.Head.Args {
-			if t.Kind == ast.Const {
-				cr.head = append(cr.head, harg{isConst: true, id: database.Intern(t.Name)})
-				continue
-			}
-			s, ok := slots[t.Name]
-			if !ok {
-				return nil, fmt.Errorf("ivm: rule %d (%s): head variable %s is not bound by the body; active-domain rules cannot be maintained incrementally", ri, r.Head.Pred, t.Name)
-			}
-			cr.head = append(cr.head, harg{slot: s})
-			cr.headSlots = append(cr.headSlots, s)
-		}
-		cr.nvars = len(slots)
-		cr.fp = plan.Fingerprint(cr.body, cr.headSlots)
-		cr.bindSet = make([]bool, cr.nvars)
 	}
-	return rules, nil
+	return rules, nslots, nil
 }
 
 // initCounts attaches exact support counts to the fresh fixpoint: one
@@ -394,23 +334,20 @@ func compileRules(prog *ast.Program) ([]mrule, error) {
 // joins evaluation uses, through the handle's plan cache), plus one
 // support per base-asserted fact.
 func (m *maint) initCounts() {
-	env := make([]uint32, m.maxVars())
+	env := make([]uint32, m.nslots)
 	headRow := make(database.Row, 0, 8)
 	for ri := range m.rules {
 		r := &m.rules[ri]
-		rel := m.live.Relation(r.headPred, r.headArity)
+		rel := m.headRels[ri]
 		p, _ := m.planner.Plan(plan.Request{
-			Atoms:       r.body,
-			Fingerprint: r.fp,
-			NumSlots:    r.nvars,
-			HeadSlots:   r.headSlots,
-			DeltaPos:    -1,
-			DB:          m.live,
-			Epoch:       m.live.StatsEpoch(),
+			Rule:     r,
+			DeltaPos: -1,
+			DB:       m.live,
+			Epoch:    m.live.StatsEpoch(),
 		})
 		x := plan.Exec{Env: env}
 		x.OnMatch = func() {
-			headRow = r.appendHead(headRow[:0], x.Env)
+			headRow = r.AppendHead(headRow[:0], x.Env)
 			id := rel.RowID(headRow)
 			// Every match's head is in the fixpoint by construction.
 			rel.AddCountAt(int(id), 1)
@@ -432,56 +369,6 @@ func (m *maint) initCounts() {
 	}
 }
 
-// maxVars returns the largest rule environment size.
-func (m *maint) maxVars() int {
-	n := 0
-	for i := range m.rules {
-		if m.rules[i].nvars > n {
-			n = m.rules[i].nvars
-		}
-	}
-	return n
-}
-
-// appendHead instantiates the rule head under env, appending to dst.
-func (r *mrule) appendHead(dst database.Row, env []uint32) database.Row {
-	for _, a := range r.head {
-		if a.isConst {
-			dst = append(dst, a.id)
-		} else {
-			dst = append(dst, env[a.slot])
-		}
-	}
-	return dst
-}
-
-// bindDelta binds body atom ai of r to slab row rid of rel: constants
-// must match, repeated slots must agree, and fresh slots are written
-// into env. Reports whether the row satisfies the atom.
-func (r *mrule) bindDelta(env []uint32, ai int, rel *database.Relation, rid int32) bool {
-	for i := range r.bindSet {
-		r.bindSet[i] = false
-	}
-	for pos, arg := range r.body[ai].Args {
-		v := rel.At(int(rid), pos)
-		if arg.Const {
-			if v != arg.ID {
-				return false
-			}
-			continue
-		}
-		if r.bindSet[arg.Slot] {
-			if env[arg.Slot] != v {
-				return false
-			}
-			continue
-		}
-		env[arg.Slot] = v
-		r.bindSet[arg.Slot] = true
-	}
-	return true
-}
-
 // DB returns the live maintained database.
 func (m *maint) DB() *database.DB { return m.live }
 
@@ -492,11 +379,7 @@ func (m *maint) Base() *database.DB { return m.base }
 // like one evaluation: trips are deterministic because every charge
 // happens at a single-threaded point in canonical order.
 func (m *maint) meter() *guard.Meter {
-	b := m.opts.Budget
-	if b.MaxFacts == 0 && m.opts.MaxFacts > 0 {
-		b.MaxFacts = int64(m.opts.MaxFacts)
-	}
-	return b.Started().Meter()
+	return m.opts.Budget.Started().Meter()
 }
 
 // groundRow validates one ground fact against the program and existing
@@ -582,9 +465,9 @@ func (m *maint) ctxLive() error {
 	}
 }
 
-// Broken returns the error that poisoned the handle, nil while it is
-// healthy. Implements the optional eval interface behind Handle.Err.
-func (m *maint) Broken() error { return m.broken }
+// Err returns the error that poisoned the handle, nil while it is
+// healthy.
+func (m *maint) Err() error { return m.broken }
 
 // InsertTagged is Insert with a durable idempotency tag: the committed
 // batch records (client, clientSeq) so the store — and a serving front

@@ -146,8 +146,8 @@ func (u *update) retractStratum(si int, s ast.Stratum) error {
 		roundFired := false
 		for _, ri := range s.Rules {
 			r := &m.rules[ri]
-			for ai := range r.body {
-				rows := front.rows[r.body[ai].Pred]
+			for ai := range r.Body {
+				rows := front.rows[r.Body[ai].Pred]
 				if len(rows) == 0 {
 					continue
 				}
@@ -161,7 +161,7 @@ func (u *update) retractStratum(si int, s ast.Stratum) error {
 				u.headRel = m.headRels[ri]
 				frel := m.bodyRels[ri][ai]
 				for _, rid := range rows {
-					if !r.bindDelta(u.x.Env, ai, frel, rid) {
+					if !u.bindDelta(r, ai, frel, rid) {
 						continue
 					}
 					u.x.RunBounded(e.p, nil)
@@ -245,8 +245,8 @@ func (u *update) rederive(si int, s ast.Stratum) error {
 		roundFired := false
 		for _, ri := range s.Rules {
 			r := &m.rules[ri]
-			for ai := range r.body {
-				rows := front.rows[r.body[ai].Pred]
+			for ai := range r.Body {
+				rows := front.rows[r.Body[ai].Pred]
 				if len(rows) == 0 {
 					continue
 				}
@@ -260,7 +260,7 @@ func (u *update) rederive(si int, s ast.Stratum) error {
 				u.headRel = m.headRels[ri]
 				frel := m.bodyRels[ri][ai]
 				for _, rid := range rows {
-					if !r.bindDelta(u.x.Env, ai, frel, rid) {
+					if !u.bindDelta(r, ai, frel, rid) {
 						continue
 					}
 					u.x.RunBounded(e.p, nil)

@@ -86,11 +86,13 @@ type update struct {
 	x       plan.Exec
 	headRow database.Row
 	mode    int
-	rule    *mrule
+	rule    *plan.Rule
 	headRel *database.Relation
 	// recursive is the current stratum's recursion flag: recursive
 	// strata overdelete unconditionally, nonrecursive ones exactly.
 	recursive bool
+	// bindSet is scratch for bindDelta: one flag per env slot.
+	bindSet []bool
 
 	// Retract state: per-relation row phases, the global kill order,
 	// the frontier being discovered (next kills or pending revivals),
@@ -114,7 +116,8 @@ func (m *maint) newUpdate(meter *guard.Meter, us *eval.UpdateStats) *update {
 	u := m.upd
 	if u == nil {
 		u = &update{m: m}
-		u.x.Env = make([]uint32, m.maxVars())
+		u.x.Env = make([]uint32, m.nslots)
+		u.bindSet = make([]bool, m.nslots)
 		u.x.Stop = &m.stop
 		u.x.OnMatch = u.onMatch
 		u.headRow = make(database.Row, 0, 8)
@@ -134,6 +137,33 @@ func (m *maint) newUpdate(meter *guard.Meter, us *eval.UpdateStats) *update {
 	u.fb.reset()
 	u.x.SkipRow = nil
 	return u
+}
+
+// bindDelta binds body atom ai of r to slab row rid of rel: constants
+// must match, repeated slots must agree, and fresh slots are written
+// into the executor's env. Reports whether the row satisfies the atom.
+func (u *update) bindDelta(r *plan.Rule, ai int, rel *database.Relation, rid int32) bool {
+	set := u.bindSet[:r.NumSlots]
+	clear(set)
+	env := u.x.Env
+	for pos, arg := range r.Body[ai].Args {
+		v := rel.At(int(rid), pos)
+		if arg.Const {
+			if v != arg.ID {
+				return false
+			}
+			continue
+		}
+		if set[arg.Slot] {
+			if env[arg.Slot] != v {
+				return false
+			}
+			continue
+		}
+		env[arg.Slot] = v
+		set[arg.Slot] = true
+	}
+	return true
 }
 
 // stateOf returns rel's phase array, allocating (or re-zeroing the
@@ -208,7 +238,7 @@ func (u *update) onMatch() {
 		return
 	}
 	u.us.Firings++
-	u.headRow = u.rule.appendHead(u.headRow[:0], u.x.Env)
+	u.headRow = u.rule.AppendHead(u.headRow[:0], u.x.Env)
 	rel := u.headRel
 	switch u.mode {
 	case updInsert:
@@ -236,8 +266,8 @@ func (u *update) onMatch() {
 		}
 		if u.recursive || c == 0 {
 			s[hid] |= rsDead
-			u.deadOrder = append(u.deadOrder, killRec{u.rule.headPred, rel, hid})
-			u.next.add(u.rule.headPred, hid)
+			u.deadOrder = append(u.deadOrder, killRec{u.rule.HeadPred, rel, hid})
+			u.next.add(u.rule.HeadPred, hid)
 		}
 	case updRevive:
 		hid := rel.RowID(u.headRow)
@@ -247,7 +277,7 @@ func (u *update) onMatch() {
 		s := u.stateOf(rel)
 		if s[hid]&(rsDead|rsPending) == rsDead {
 			s[hid] |= rsPending
-			u.next.add(u.rule.headPred, hid)
+			u.next.add(u.rule.HeadPred, hid)
 		}
 	}
 }

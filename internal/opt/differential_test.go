@@ -11,6 +11,7 @@ import (
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/gen"
+	"datalogeq/internal/opt"
 	"datalogeq/internal/parser"
 )
 
@@ -53,22 +54,22 @@ func relEqual(a, b *database.Relation) bool {
 	return a.Equal(b)
 }
 
-// assertOptimizedAgrees evaluates prog with the optimizer off and on
-// (at workers 1, 2, and 8) and asserts they compute the same result:
-// the same goal relation when a goal is set — goal-directed rewrites
-// may prune everything else — and the identical full fixpoint when not.
+// assertOptimizedAgrees evaluates prog and its optimized rewrite (at
+// workers 1, 2, and 8) and asserts they compute the same result: the
+// same goal relation when a goal is set — goal-directed rewrites may
+// prune everything else — and the identical full fixpoint when not.
 func assertOptimizedAgrees(t *testing.T, prog *ast.Program, db *database.DB, goal string) {
 	t.Helper()
 	base, _, err := eval.Eval(prog, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("unoptimized eval: %v", err)
 	}
+	optimized, _, err := opt.Optimize(prog, opt.Options{Goal: goal})
+	if err != nil {
+		t.Fatalf("optimize (goal %q): %v", goal, err)
+	}
 	for _, w := range []int{1, 2, 8} {
-		out, _, err := eval.Eval(prog, db, eval.Options{
-			Optimize:     true,
-			OptimizeGoal: goal,
-			Workers:      w,
-		})
+		out, _, err := eval.Eval(optimized, db, eval.Options{Workers: w})
 		if err != nil {
 			t.Fatalf("optimized eval (goal %q, workers %d): %v", goal, w, err)
 		}
@@ -109,10 +110,10 @@ func TestOptimizedDifferentialTestdata(t *testing.T) {
 	}
 }
 
-// TestOptimizedWorkersBitIdentical pins the determinism contract under
-// the SCC-stratified driver: with the optimizer on, the database
-// rendering (insertion order included) and Stats are identical at
-// every worker count.
+// TestOptimizedWorkersBitIdentical pins the determinism contract for
+// optimized programs: the database rendering (insertion order
+// included) and Stats of the rewrite are identical at every worker
+// count.
 func TestOptimizedWorkersBitIdentical(t *testing.T) {
 	prog := parser.MustProgram(`
 		top(X, Y) :- j(X, Y).
@@ -120,8 +121,12 @@ func TestOptimizedWorkersBitIdentical(t *testing.T) {
 		tc(X, Y) :- e(X, Y).
 		tc(X, Y) :- e(X, Z), tc(Z, Y).
 	`)
+	prog, _, err := opt.Optimize(prog, opt.Options{Goal: "top"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := gen.ChainGraph(12)
-	opts := eval.Options{Optimize: true, OptimizeGoal: "top", Workers: 1}
+	opts := eval.Options{Workers: 1}
 	base, baseStats, err := eval.Eval(prog, db, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -142,35 +147,5 @@ func TestOptimizedWorkersBitIdentical(t *testing.T) {
 		if stats != baseStats {
 			t.Errorf("workers=%d: stats = %+v, want %+v", w, stats, baseStats)
 		}
-	}
-}
-
-// TestStratifiedReducesRounds pins the point of the per-SCC driver: on
-// a multi-stratum program the global Jacobi loop re-runs every rule
-// each round until the slowest component converges, while the
-// stratified schedule fixpoints each component once — strictly fewer
-// total rounds on a chain long enough to matter.
-func TestStratifiedReducesRounds(t *testing.T) {
-	prog := parser.MustProgram(`
-		top(X, Y) :- j(X, Y).
-		j(X, Y) :- tc(X, Z), tc(Z, Y).
-		tc(X, Y) :- e(X, Y).
-		tc(X, Y) :- e(X, Z), tc(Z, Y).
-	`)
-	db := gen.ChainGraph(16)
-	_, global, err := eval.Eval(prog, db, eval.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, strat, err := eval.Eval(prog, db, eval.Options{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strat.Derived != global.Derived {
-		t.Fatalf("stratified derived %d facts, global %d", strat.Derived, global.Derived)
-	}
-	if strat.Firings >= global.Firings {
-		t.Errorf("stratified firings = %d, want < global %d (nonrecursive strata must not re-fire every round)",
-			strat.Firings, global.Firings)
 	}
 }

@@ -1,5 +1,6 @@
-// Package plan is the cost-based query planner and streaming
-// relational-algebra executor behind eval's rule firing. A compiled
+// Package plan is the compiled rule form (Rule, CompileRules), the
+// cost-based query planner, and the streaming relational-algebra
+// executor behind eval's rule firing and ivm's maintenance. A compiled
 // slot-form rule body — a conjunction of atoms over interned constants
 // and dense variable slots — is turned into an explicit left-deep
 // operator tree: an index probe or filtered scan at each leaf, joined

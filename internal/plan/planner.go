@@ -8,19 +8,13 @@ import (
 	"datalogeq/internal/database"
 )
 
-// Request describes one planning problem: a slot-form body, the slots
-// its head consumes, the delta position of the semi-naive task, and the
-// store (with its stats epoch) to plan against.
+// Request describes one planning problem: a compiled rule, the delta
+// position of the semi-naive task, and the store (with its stats epoch)
+// to plan against.
 type Request struct {
-	Atoms []Atom
-	// Fingerprint identifies the (body, head-slot) shape; compute it
-	// once per rule with Fingerprint.
-	Fingerprint string
-	// NumSlots is the rule's environment size.
-	NumSlots int
-	// HeadSlots lists the env slots the rule head reads; they stay live
-	// through the whole pipeline (never annotated dead).
-	HeadSlots []int
+	// Rule supplies the slot-form body, the head slots kept live to the
+	// end, the environment size, and the plan-cache fingerprint.
+	Rule *Rule
 	// DeltaPos is the body position restricted to the task's delta
 	// window, or -1 for a full firing.
 	DeltaPos int
@@ -113,13 +107,13 @@ type Planner struct {
 // cached reports a cache hit; callers charge plan-construction budgets
 // only on misses.
 func (pl *Planner) Plan(req Request) (p *Plan, cached bool) {
-	key := cacheKey{req.Fingerprint, req.DeltaPos, req.Epoch, req.Residual}
+	key := cacheKey{req.Rule.Fingerprint, req.DeltaPos, req.Epoch, req.Residual}
 	if p, ok := pl.cache[key]; ok {
 		pl.Hits++
 		return p, true
 	}
 	pl.Misses++
-	sk := shapeKey{req.Fingerprint, req.DeltaPos, req.Residual}
+	sk := shapeKey{req.Rule.Fingerprint, req.DeltaPos, req.Residual}
 	if last, ok := pl.seen[sk]; ok && last != req.Epoch {
 		pl.Replans++
 	}
@@ -140,12 +134,13 @@ func (pl *Planner) Plan(req Request) (p *Plan, cached bool) {
 // into a probe/scan step relative to that order, annotate dead slots,
 // and ensure the chosen indexes exist.
 func (pl *Planner) build(req Request) *Plan {
+	r := req.Rule
 	// Residual plans exclude the delta atom: its slots are bound by the
 	// caller before the run, so later steps key and filter against them
 	// exactly as if an earlier step had bound them.
 	var pre []int
 	if req.Residual {
-		for _, arg := range req.Atoms[req.DeltaPos].Args {
+		for _, arg := range r.Body[req.DeltaPos].Args {
 			if !arg.Const {
 				pre = append(pre, arg.Slot)
 			}
@@ -153,21 +148,21 @@ func (pl *Planner) build(req Request) *Plan {
 	}
 	var order []int
 	if pl.Fixed {
-		order = make([]int, 0, len(req.Atoms))
-		for i := range req.Atoms {
+		order = make([]int, 0, len(r.Body))
+		for i := range r.Body {
 			if req.Residual && i == req.DeltaPos {
 				continue
 			}
 			order = append(order, i)
 		}
 	} else {
-		order = chooseOrder(req.Atoms, req.DeltaPos, req.DB, req.Residual)
+		order = chooseOrder(r.Body, req.DeltaPos, req.DB, req.Residual)
 	}
 	p := &Plan{
 		DeltaPos:    req.DeltaPos,
-		Fingerprint: req.Fingerprint,
+		Fingerprint: r.Fingerprint,
 		Epoch:       req.Epoch,
-		NumSlots:    req.NumSlots,
+		NumSlots:    r.NumSlots,
 		Fixed:       pl.Fixed,
 		Residual:    req.Residual,
 	}
@@ -175,8 +170,8 @@ func (pl *Planner) build(req Request) *Plan {
 	if req.Residual {
 		stepDelta = -1
 	}
-	p.Steps = compileSteps(req.Atoms, order, stepDelta, req.DB, pre)
-	annotateDead(p.Steps, req.NumSlots, req.HeadSlots)
+	p.Steps = compileSteps(r.Body, order, stepDelta, req.DB, pre)
+	annotateDead(p.Steps, r.NumSlots, r.HeadSlots)
 	for i := range p.Steps {
 		st := &p.Steps[i]
 		if st.Mask != 0 && st.rel != nil {

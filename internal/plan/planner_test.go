@@ -42,13 +42,10 @@ func TestGreedyOrderPicksSelectiveFirst(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	var pl Planner
 	p, cached := pl.Plan(Request{
-		Atoms:       atoms,
-		Fingerprint: Fingerprint(atoms, []int{0}),
-		NumSlots:    3,
-		HeadSlots:   []int{0},
-		DeltaPos:    -1,
-		DB:          db,
-		Epoch:       db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0}), NumSlots: 3, HeadSlots: []int{0}},
+		DeltaPos: -1,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	if cached {
 		t.Fatal("first plan must be a cache miss")
@@ -80,8 +77,10 @@ func TestDeltaAtomForcedFirst(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Atoms: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3,
-		DeltaPos: 1, DB: db, Epoch: db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3},
+		DeltaPos: 1,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	if p.Steps[0].Atom != 1 || !p.Steps[0].Delta {
 		t.Fatalf("first step = atom %d (delta=%v), want delta atom 1 first", p.Steps[0].Atom, p.Steps[0].Delta)
@@ -101,7 +100,7 @@ func TestPlanCacheHitMissReplan(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("sel", 0)}
 	fp := Fingerprint(atoms, []int{0})
 	var pl Planner
-	req := Request{Atoms: atoms, Fingerprint: fp, NumSlots: 2, HeadSlots: []int{0}, DeltaPos: -1, DB: db, Epoch: 7}
+	req := Request{Rule: &Rule{Body: atoms, Fingerprint: fp, NumSlots: 2, HeadSlots: []int{0}}, DeltaPos: -1, DB: db, Epoch: 7}
 
 	p1, cached := pl.Plan(req)
 	if cached || pl.Misses != 1 || pl.Hits != 0 || pl.Replans != 0 {
@@ -128,8 +127,10 @@ func TestFixedModeKeepsTextualOrder(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	pl := Planner{Fixed: true}
 	p, _ := pl.Plan(Request{
-		Atoms: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3,
-		DeltaPos: -1, DB: db, Epoch: db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3},
+		DeltaPos: -1,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	for i, st := range p.Steps {
 		if st.Atom != i {
@@ -153,8 +154,10 @@ func TestDeadSlotAnnotation(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 1, 2)}
 	pl := Planner{Fixed: true}
 	p, _ := pl.Plan(Request{
-		Atoms: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3,
-		HeadSlots: []int{0, 2}, DeltaPos: -1, DB: db, Epoch: db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		DeltaPos: -1,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	if len(p.Steps[0].Dead) != 0 {
 		t.Errorf("step 0 dead slots = %v, want none", p.Steps[0].Dead)
@@ -192,8 +195,10 @@ func TestRenderShowsAccessPaths(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Atoms: atoms, Fingerprint: Fingerprint(atoms, []int{0}), NumSlots: 3,
-		HeadSlots: []int{0}, DeltaPos: -1, DB: db, Epoch: db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0}), NumSlots: 3, HeadSlots: []int{0}},
+		DeltaPos: -1,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	names := []string{"X", "A", "B"}
 	out := p.Render(func(s int) string { return names[s] }, []uint64{2, 6, 18})

@@ -29,14 +29,11 @@ func TestResidualPlan(t *testing.T) {
 	atoms := []Atom{atomV("e", 0, 1), atomV("e", 1, 2)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Atoms:       atoms,
-		Fingerprint: Fingerprint(atoms, []int{0, 2}),
-		NumSlots:    3,
-		HeadSlots:   []int{0, 2},
-		DeltaPos:    0,
-		DB:          db,
-		Epoch:       db.StatsEpoch(),
-		Residual:    true,
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		DeltaPos: 0,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
+		Residual: true,
 	})
 	if !p.Residual {
 		t.Fatal("plan not marked residual")
@@ -62,13 +59,10 @@ func TestResidualPlan(t *testing.T) {
 	}
 	// The same fingerprint without Residual must not share the cache slot.
 	full, cached := pl.Plan(Request{
-		Atoms:       atoms,
-		Fingerprint: Fingerprint(atoms, []int{0, 2}),
-		NumSlots:    3,
-		HeadSlots:   []int{0, 2},
-		DeltaPos:    0,
-		DB:          db,
-		Epoch:       db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		DeltaPos: 0,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	if cached {
 		t.Fatal("non-residual request hit the residual cache entry")
@@ -88,13 +82,10 @@ func TestRunBounded(t *testing.T) {
 	var pl Planner
 	count := func(deltaPos int, bounds []Window) int {
 		p, _ := pl.Plan(Request{
-			Atoms:       atoms,
-			Fingerprint: Fingerprint(atoms, []int{0, 2}),
-			NumSlots:    3,
-			HeadSlots:   []int{0, 2},
-			DeltaPos:    deltaPos,
-			DB:          db,
-			Epoch:       db.StatsEpoch(),
+			Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+			DeltaPos: deltaPos,
+			DB:       db,
+			Epoch:    db.StatsEpoch(),
 		})
 		n := 0
 		x := &Exec{OnMatch: func() { n++ }}
@@ -121,13 +112,10 @@ func TestSkipRow(t *testing.T) {
 	atoms := []Atom{atomV("e", 0, 1), atomV("e", 1, 2)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Atoms:       atoms,
-		Fingerprint: Fingerprint(atoms, []int{0, 2}),
-		NumSlots:    3,
-		HeadSlots:   []int{0, 2},
-		DeltaPos:    -1,
-		DB:          db,
-		Epoch:       db.StatsEpoch(),
+		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		DeltaPos: -1,
+		DB:       db,
+		Epoch:    db.StatsEpoch(),
 	})
 	// Skipping row 1 (edge b-c) at every step kills the two matches
 	// using it (a-b-c and b-c-d), leaving c-d-e.

@@ -1,16 +1,14 @@
-// Optimizer benchmark families for the SCC-stratified driver (PR 7).
-// Run with
+// Optimizer benchmark families. Run with
 //
 //	go test -run=NONE -bench=OptimizedEval .
 //
 // Every family evaluates the three-stratum LayeredTC program — a
 // recursive transitive closure, a join layer over it, and a top copy —
-// over one graph shape, with the static optimizer (and hence the
-// stratified schedule) off and on. The global Jacobi loop re-fires the
-// join layer against every tc delta of every round; the stratified
-// driver fixpoints tc first and runs the join layer once, so rounds
-// and firings drop on every family. Pipe the output through
-// cmd/benchjson to produce the BENCH_PR7.json trajectory file.
+// over one graph shape, as written (plain) and after the static
+// optimizer's rewrite (optimized; the rewrite is part of the timed
+// work). Both run under the engine's stratified driver, which fixpoints
+// tc first and fires each nonrecursive layer once per match. Pipe the
+// output through cmd/benchjson to produce a trajectory file.
 package datalogeq_test
 
 import (
@@ -20,8 +18,7 @@ import (
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/gen"
-
-	_ "datalogeq/internal/opt" // registers the optimizer behind eval.Options.Optimize
+	"datalogeq/internal/opt"
 )
 
 func BenchmarkOptimizedEval(b *testing.B) {
@@ -37,18 +34,25 @@ func BenchmarkOptimizedEval(b *testing.B) {
 		{"random60x240", gen.RandomGraph(rng, 60, 240)},
 	}
 	modes := []struct {
-		name string
-		opt  bool
+		name     string
+		optimize bool
 	}{
-		{"global", false},
-		{"stratified", true},
+		{"plain", false},
+		{"optimized", true},
 	}
 	for _, w := range workloads {
 		for _, m := range modes {
 			b.Run(w.name+"/"+m.name, func(b *testing.B) {
 				var stats eval.Stats
 				for i := 0; i < b.N; i++ {
-					_, s, err := eval.Eval(prog, w.db, eval.Options{Workers: 0, Optimize: m.opt})
+					p := prog
+					if m.optimize {
+						var err error
+						if p, _, err = opt.Optimize(prog, opt.Options{Goal: "top"}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					_, s, err := eval.Eval(p, w.db, eval.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}

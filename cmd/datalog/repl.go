@@ -405,7 +405,9 @@ func (s *session) retractFact(a ast.Atom) {
 	if id < 0 {
 		return
 	}
-	rel.DeleteRows(func(i int) bool { return i == int(id) })
+	marks := make([]uint8, rel.Len())
+	marks[id] = 1
+	rel.DeleteRowsMarked(marks, 1)
 }
 
 // buildQuery compiles a query body into a fresh query rule whose head

@@ -11,7 +11,7 @@ package database
 // start at zero), so evaluation paths that never enable counts pay one
 // nil check per insert and nothing else.
 //
-// DeleteRows is the retraction-side primitive: an order-preserving
+// DeleteRowsMarked is the retraction-side primitive: an order-preserving
 // compaction that removes a marked subset of rows and rebuilds the
 // dedup set and every live index. Maintenance defers it to the end of
 // an update, after the deletion cascade has been enumerated against the
@@ -48,44 +48,17 @@ func (r *Relation) RowID(row Row) int32 {
 	return r.set.lookup(r, row, hashRow(row))
 }
 
-// DeleteRows removes every row i with dead(i) true, preserving the
-// insertion order of the survivors, and returns how many rows were
-// removed. The count column (if enabled) is compacted alongside the
-// slab and the materialized string cache is dropped. Because the
-// compaction preserves order, the dedup set and every live index are
-// remapped rather than rebuilt: content hashes do not change when row
-// IDs shift, so survivors are renumbered through a prefix-sum ID map
-// and re-placed by their stored hashes — no row is rehashed. Row IDs
-// above the first deleted row change; callers must not hold stale IDs
-// across a call. Single-writer: call only from a write phase.
-func (r *Relation) DeleteRows(dead func(i int) bool) int {
-	first := -1
-	for i := 0; i < r.n; i++ {
-		if dead(i) {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		return 0
-	}
-	newID := r.idScratch(first)
-	w := first
-	for i := first; i < r.n; i++ {
-		if dead(i) {
-			newID[i] = -1
-			continue
-		}
-		newID[i] = int32(w)
-		w++
-	}
-	return r.compact(newID, first, w)
-}
-
-// DeleteRowsMarked is DeleteRows for callers that already hold a
-// per-row mark array (len at least r.Len()): row i is deleted when
-// marks[i]&mask != 0. It avoids the per-row indirect calls of the
-// closure form on the maintenance hot path.
+// DeleteRowsMarked removes every row i with marks[i]&mask != 0 (marks
+// holds at least r.Len() entries), preserving the insertion order of
+// the survivors, and returns how many rows were removed. The count
+// column (if enabled) is compacted alongside the slab and the
+// materialized string cache is dropped. Because the compaction
+// preserves order, the dedup set and every live index are remapped
+// rather than rebuilt: content hashes do not change when row IDs
+// shift, so survivors are renumbered through a prefix-sum ID map and
+// re-placed by their stored hashes — no row is rehashed. Row IDs above
+// the first deleted row change; callers must not hold stale IDs across
+// a call. Single-writer: call only from a write phase.
 func (r *Relation) DeleteRowsMarked(marks []uint8, mask uint8) int {
 	first := -1
 	for i := 0; i < r.n; i++ {

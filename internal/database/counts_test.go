@@ -65,7 +65,8 @@ func TestDeleteRows(t *testing.T) {
 	r.EnsureIndex(1 << 0) // index on column 0
 	r.Tuples()            // materialize the string cache
 
-	removed := r.DeleteRows(func(i int) bool { return i == 1 || i == 3 })
+	// Only bit 0 selects: rows 2 and 4 carry other bits and survive.
+	removed := r.DeleteRowsMarked([]uint8{0, 1, 2, 3, 4}, 1)
 	if removed != 2 {
 		t.Fatalf("removed = %d, want 2", removed)
 	}
@@ -118,7 +119,7 @@ func TestDeleteRowsNoop(t *testing.T) {
 	r := NewRelation(1)
 	r.Add(Tuple{"a"})
 	r.Add(Tuple{"b"})
-	if removed := r.DeleteRows(func(int) bool { return false }); removed != 0 {
+	if removed := r.DeleteRowsMarked(make([]uint8, r.Len()), 1); removed != 0 {
 		t.Fatalf("removed = %d, want 0", removed)
 	}
 	if r.Len() != 2 {

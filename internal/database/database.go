@@ -126,7 +126,7 @@ type Relation struct {
 	// strs lazily materializes rows for the string-facing Tuples().
 	strs    []Tuple
 	scratch Row
-	// newIDBuf is DeleteRows' reusable old-ID → new-ID map.
+	// newIDBuf is DeleteRowsMarked's reusable old-ID → new-ID map.
 	newIDBuf []int32
 	stats    StorageStats
 	// writing asserts the concurrency contract above: set while AddRow
@@ -489,16 +489,20 @@ func (d *DB) StorageStats() StorageStats {
 	return s
 }
 
-// StatsEpoch returns a monotonically non-decreasing fingerprint of the
-// database's planning-relevant statistics: it grows when a relation is
-// created, when a relation crosses a power-of-two row count, or when a
-// new persistent index is built. Query planners key plan caches on it —
-// while the epoch is unchanged, every cardinality a cost model would
-// read (relation lengths to within 2×, index posting-list counts) is
-// close enough that replanning cannot improve the plan. It is computed
-// on demand from the store, so it needs no bump discipline at write
-// sites; call it only from a write phase or a round boundary (it reads
-// lengths and index maps that a concurrent writer would mutate).
+// StatsEpoch returns a fingerprint of the database's planning-relevant
+// statistics: the number of relations, plus each relation's row count
+// rounded to its power of two and its number of persistent indexes. It
+// grows when a relation is created, crosses a power-of-two row count
+// upwards, or gains an index, and it falls when DeleteRowsMarked
+// shrinks a relation below a power of two — so it is not monotone, and
+// planners compare epochs only for equality. Query planners key plan
+// caches on it: while the epoch is unchanged, every cardinality a cost
+// model would read (relation lengths to within 2×, index posting-list
+// counts) is close enough that replanning cannot improve the plan. It
+// is computed on demand from the store, so it needs no bump discipline
+// at write sites; call it only from a write phase or a round boundary
+// (it reads lengths and index maps that a concurrent writer would
+// mutate).
 func (d *DB) StatsEpoch() uint64 {
 	e := uint64(len(d.relations))
 	for _, r := range d.relations {

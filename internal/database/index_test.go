@@ -156,14 +156,14 @@ func TestIndexBuildMatchesIncremental(t *testing.T) {
 					sameIndexes(t, built, grown, masks)
 					probesMatchScan(t, built, masks, absent)
 
-					dead := make(map[int]bool)
-					for i := 0; i < built.Len(); i++ {
+					dead := make([]uint8, built.Len())
+					for i := range dead {
 						if g.rng.Intn(4) == 0 {
-							dead[i] = true
+							dead[i] = 1
 						}
 					}
-					built.DeleteRows(func(i int) bool { return dead[i] })
-					grown.DeleteRows(func(i int) bool { return dead[i] })
+					built.DeleteRowsMarked(dead, 1)
+					grown.DeleteRowsMarked(dead, 1)
 					sameIndexes(t, built, grown, masks)
 					probesMatchScan(t, built, masks, absent)
 				}

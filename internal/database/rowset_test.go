@@ -31,7 +31,7 @@ func wrapRel(homes []uint64) (*Relation, *rowSet) {
 	return rel, s
 }
 
-// deleteAndCheck compacts the slab and set exactly as DeleteRows would
+// deleteAndCheck compacts the slab and set exactly as DeleteRowsMarked would
 // (newID prefix-sum map, then remap) and verifies every survivor is
 // still reachable by probing from its home and every deleted row is
 // gone. It returns false (after t.Error) on any stranded survivor.

@@ -4,7 +4,8 @@ import "testing"
 
 // TestStatsEpochMonotone pins the plan-cache key's invalidation
 // signal: the epoch moves exactly on relation creation, power-of-two
-// row-count crossings, and index builds — and never moves backwards.
+// row-count crossings, and index builds — and, while rows are only
+// added, never moves backwards.
 func TestStatsEpochMonotone(t *testing.T) {
 	d := New()
 	last := d.StatsEpoch()
@@ -38,6 +39,28 @@ func TestStatsEpochMonotone(t *testing.T) {
 	same("existing index")
 	d.Relation("f", 1)
 	bump("new empty relation")
+}
+
+// TestStatsEpochFallsOnDelete pins why planners compare epochs only for
+// equality: deleting rows across a power of two lowers the epoch, and
+// re-adding them restores the earlier value.
+func TestStatsEpochFallsOnDelete(t *testing.T) {
+	d := New()
+	for _, c := range []string{"a", "b", "c", "d"} {
+		d.Add("e", Tuple{c})
+	}
+	four := d.StatsEpoch()
+	r := d.Lookup("e")
+	if n := r.DeleteRowsMarked([]uint8{0, 0, 0, 1}, 1); n != 1 {
+		t.Fatalf("deleted %d rows, want 1", n)
+	}
+	if three := d.StatsEpoch(); three >= four {
+		t.Fatalf("epoch after shrinking 4 → 3 rows = %d, want below %d", three, four)
+	}
+	d.Add("e", Tuple{"d"})
+	if e := d.StatsEpoch(); e != four {
+		t.Fatalf("epoch after regrowing to 4 rows = %d, want %d again", e, four)
+	}
 }
 
 // TestIndexCard exposes what the cost model consumes: the number of

@@ -20,8 +20,9 @@
 // rules are compiled to slot form (plan.CompileRules), each (rule ×
 // delta-position) task is planned by the cost-based join planner
 // (internal/plan) into an operator tree of index probes and filtered
-// scans ordered by live cardinality statistics — plans are cached by
-// (rule fingerprint, stats epoch), so stable rounds replan nothing —
+// scans ordered by live cardinality statistics — the planner keeps one
+// plan per (rule, delta position) and rebuilds it only when the stats
+// epoch moves, so stable rounds replan nothing —
 // join indexes live on the relations and are maintained incrementally
 // as facts are derived, and semi-naive deltas are windows of row IDs
 // into each relation's slab rather than copied tuple slices.
@@ -75,11 +76,12 @@ type Stats struct {
 	// evaluation.
 	InternedConstants int
 
-	// Plan-cache behavior of the cost-based planner: hits, misses
-	// (plan constructions), and replans (a shape planned again because
-	// the store's stats epoch moved). On a stable store — no relation
-	// creations, power-of-two growth crossings, or index builds between
-	// rounds — every task hits the cache and Replans stays flat.
+	// Plan-cache behavior of the cost-based planner, counted per
+	// (rule, delta position) slot: hits, misses (plan constructions),
+	// and replans (a miss on a slot whose plan was built at another
+	// stats epoch). On a stable store — no relation creations,
+	// power-of-two growth crossings, or index builds between rounds —
+	// every task hits the cache and Replans stays flat.
 	PlanCacheHits   uint64
 	PlanCacheMisses uint64
 	PlanReplans     uint64

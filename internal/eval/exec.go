@@ -16,10 +16,10 @@ import (
 //
 //  1. plan (single-threaded): every (rule × delta-position) task of the
 //     round gets an operator-tree plan from the cost-based planner,
-//     keyed by (rule fingerprint, delta position, stats epoch) — stable
-//     rounds hit the plan cache and replan nothing. Planning ensures
-//     the indexes the chosen plans probe, so this is also where lazy
-//     index builds happen; workers never write.
+//     whose cache keeps one plan per (rule, delta position) and rebuilds
+//     it when the stats epoch moves — stable rounds replan nothing.
+//     Planning ensures the indexes the chosen plans probe, so this is
+//     also where lazy index builds happen; workers never write.
 //  2. fire (parallel): the round's task list — one task per rule in a
 //     full round, one per (rule, delta position) in a semi-naive round —
 //     fans out over the worker pool. Workers stream their plans against
@@ -106,13 +106,6 @@ type evaluator struct {
 	// current round boundary.
 	heads []string
 	marks []window
-
-	// planMemo short-circuits the plan-cache probe per (rule, deltaPos):
-	// while the stats epoch is unchanged the planner would return the
-	// same plan anyway, so the memo skips hashing the (long) fingerprint
-	// string every round. Indexed [rule][deltaPos+1]; memo hits still
-	// count as planner cache hits so Stats are unchanged.
-	planMemo [][]planMemoEntry
 
 	// probeHits accumulates the workers' index-probe counts; folded into
 	// Stats.IndexHits by Eval.
@@ -251,13 +244,6 @@ func (e *evaluator) buildTasks(ruleSet []int, full bool) []task {
 	return tasks
 }
 
-// planMemoEntry is one memoized (rule, deltaPos) plan and the epoch it
-// was cached under.
-type planMemoEntry struct {
-	p     *plan.Plan
-	epoch uint64
-}
-
 // planTasks attaches a plan to every task, single-threaded between
 // rounds. The stats epoch is read once at the round boundary, so every
 // task of the round keys the plan cache against the same epoch; cache
@@ -266,33 +252,15 @@ type planMemoEntry struct {
 // canonical task order so trips are worker-count independent.
 func (e *evaluator) planTasks(tasks []task) error {
 	epoch := e.total.StatsEpoch()
-	if e.planMemo == nil {
-		e.planMemo = make([][]planMemoEntry, len(e.rules))
-	}
 	for ti := range tasks {
 		t := &tasks[ti]
-		r := &e.rules[t.rule]
-		mrow := e.planMemo[t.rule]
-		if mrow == nil {
-			mrow = make([]planMemoEntry, len(r.Body)+1)
-			e.planMemo[t.rule] = mrow
-		}
-		me := &mrow[t.deltaPos+1]
-		if me.p != nil && me.epoch == epoch {
-			// The planner's cache would return the same plan; count the
-			// hit without re-hashing the fingerprint.
-			t.p = me.p
-			e.planner.Hits++
-			continue
-		}
 		p, cached := e.planner.Plan(plan.Request{
-			Rule:     r,
+			Rule:     &e.rules[t.rule],
 			DeltaPos: t.deltaPos,
 			DB:       e.total,
 			Epoch:    epoch,
 		})
 		t.p = p
-		me.p, me.epoch = p, epoch
 		if !cached {
 			if err := e.meter.Charge("eval/plan", guard.Plans, 1); err != nil {
 				return err

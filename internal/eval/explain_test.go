@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/gen"
 	"datalogeq/internal/parser"
@@ -74,5 +75,48 @@ func TestEvalExplainFixedMode(t *testing.T) {
 	}
 	if !strings.Contains(ex.String(), "fixed order") {
 		t.Errorf("fixed-order plan not flagged:\n%s", ex.String())
+	}
+}
+
+// TestEvalExplainSameShapeRules: two rules with the same body shape get
+// plans of their own, so each keeps its own report entry and task
+// count, and rules in different strata share no replan count.
+func TestEvalExplainSameShapeRules(t *testing.T) {
+	facts := database.MustParse("e(a, b). e(b, c).")
+	prog := parser.MustProgram(`
+		p(X) :- e(X, Y).
+		p(X) :- q(X).
+		q(X) :- e(X, Y).
+		q(X) :- p(X).
+	`)
+	_, _, ex, err := eval.EvalExplain(prog, facts, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := make(map[string]int)
+	for _, re := range ex.Rules {
+		for _, pe := range re.Plans {
+			tasks[re.Rule] += pe.Tasks
+		}
+	}
+	for _, r := range []string{"p(X) :- e(X, Y).", "q(X) :- e(X, Y)."} {
+		if tasks[r] != 1 {
+			t.Errorf("%s ran %d task(s) in the report, want 1:\n%s", r, tasks[r], ex)
+		}
+	}
+	if len(ex.Rules) != 4 {
+		t.Errorf("report has %d rules, want 4:\n%s", len(ex.Rules), ex)
+	}
+
+	prog = parser.MustProgram(`
+		p(X) :- e(X, Y).
+		q(X) :- e(X, Y).
+	`)
+	_, _, ex, err = eval.EvalExplain(prog, facts, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.PlanCacheMisses != 2 || ex.PlanReplans != 0 {
+		t.Errorf("plan cache: %d misses, %d replans; want 2 misses, 0 replans", ex.PlanCacheMisses, ex.PlanReplans)
 	}
 }

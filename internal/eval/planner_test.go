@@ -140,10 +140,10 @@ func TestPlanCacheStableRounds(t *testing.T) {
 	if want := uint64(stats.Iterations) + 1; total != want {
 		t.Errorf("hits+misses = %d, want %d (one task per round plus round 1's extra)", total, want)
 	}
-	// Three distinct plan shapes exist (two full-round, one delta), so
-	// every miss beyond the first three is a replan at a new epoch.
+	// Three plan slots exist (two full-round, one delta), so every miss
+	// beyond the first three is a replan at a new epoch.
 	if stats.PlanCacheMisses != stats.PlanReplans+3 {
-		t.Errorf("misses = %d, replans = %d; want misses == replans + 3 shapes",
+		t.Errorf("misses = %d, replans = %d; want misses == replans + 3 slots",
 			stats.PlanCacheMisses, stats.PlanReplans)
 	}
 	// Stable rounds must reuse cached plans: the store's shape changes

@@ -47,8 +47,17 @@ func (m *maint) Insert(facts []ast.Atom) (eval.UpdateStats, error) {
 		preLens[p] = m.live.Lookup(p).Len()
 	}
 
+	u := m.newUpdate(meter, &us)
+	// A failed Insert drops the base rows it appended, so Base() is
+	// unchanged by an update that reports an error.
+	fail := func(err error) (eval.UpdateStats, error) {
+		u.unadmit()
+		return m.fail(&us, meter, err)
+	}
 	for _, ad := range adms {
-		if !m.base.Relation(ad.pred, len(ad.row)).AddRow(ad.row) {
+		br := m.base.Relation(ad.pred, len(ad.row))
+		u.noteBase(br)
+		if !br.AddRow(ad.row) {
 			continue // already asserted; sets, not bags
 		}
 		lr := m.live.Relation(ad.pred, len(ad.row))
@@ -61,7 +70,7 @@ func (m *maint) Insert(facts []ast.Atom) (eval.UpdateStats, error) {
 				lr.AddCountAt(int(id), 1)
 				us.CountUpdates++
 				if err := m.charge(meter, "ivm/insert"); err != nil {
-					return m.fail(&us, meter, err)
+					return fail(err)
 				}
 			}
 			continue
@@ -73,18 +82,17 @@ func (m *maint) Insert(facts []ast.Atom) (eval.UpdateStats, error) {
 			us.CountUpdates++
 		}
 		if err := m.charge(meter, "ivm/insert"); err != nil {
-			return m.fail(&us, meter, err)
+			return fail(err)
 		}
 	}
 
 	m.track()
-	u := m.newUpdate(meter, &us)
 	start := make([]int, len(m.trackRels))
 	for i, name := range m.trackNames {
 		start[i] = preLens[name]
 	}
 	if err := u.propagateInserts(start); err != nil {
-		return m.fail(&us, meter, err)
+		return fail(err)
 	}
 	if err := m.commitDurable(database.OpInsert, facts, &us, meter); err != nil {
 		return us, err
@@ -105,6 +113,29 @@ func (m *maint) validate(facts []ast.Atom) ([]admission, error) {
 		adms = append(adms, admission{pred, row})
 	}
 	return adms, nil
+}
+
+// noteBase records rel's length before this update first admits a row
+// to it.
+func (u *update) noteBase(rel *database.Relation) {
+	for _, b := range u.baseLens {
+		if b.rel == rel {
+			return
+		}
+	}
+	u.baseLens = append(u.baseLens, baseLen{rel, rel.Len()})
+}
+
+// unadmit drops the base rows this update appended: a suffix of each
+// noted base slab.
+func (u *update) unadmit() {
+	for _, b := range u.baseLens {
+		s := u.stateOf(b.rel)
+		for i := b.n; i < len(s); i++ {
+			s[i] |= rsDead
+		}
+		b.rel.DeleteRowsMarked(s, rsDead)
+	}
 }
 
 // fail poisons the handle: the live database is mid-update.
@@ -152,9 +183,16 @@ func (u *update) propagateInserts(start []int) error {
 						continue
 					}
 					tasks++
-					p, err := m.deltaPlan(ri, ai, epoch, u.meter)
-					if err != nil {
-						return err
+					p, cached := m.planner.Plan(plan.Request{
+						Rule:     r,
+						DeltaPos: ai,
+						DB:       m.live,
+						Epoch:    epoch,
+					})
+					if !cached {
+						if err := u.meter.Charge("ivm/plan", guard.Plans, 1); err != nil {
+							return err
+						}
 					}
 					if cap(u.bounds) < len(r.Body) {
 						u.bounds = make([]plan.Window, len(r.Body))

@@ -73,15 +73,10 @@ type maint struct {
 	base *database.DB
 	live *database.DB
 
-	// planner carries the plan cache across updates: rule fingerprints
-	// are stable, so a stable store replans nothing between updates.
+	// planner is the handle's plan cache: one slot per (rule, body
+	// position, residual), kept across updates, so a stable store
+	// replans nothing between updates.
 	planner *plan.Planner
-	// deltaMemo and resMemo short-circuit the planner's string-keyed
-	// cache per (rule, body position): on an epoch hit the plan (and,
-	// for residual plans, the per-step relations and skip masks) is
-	// returned without hashing anything.
-	deltaMemo [][]deltaEntry
-	resMemo   [][]resEntry
 	// headRels[ri] is rule ri's head relation in the live store.
 	headRels []*database.Relation
 	// bodyRels[ri][ai] is the live relation of rule ri's body atom ai
@@ -154,7 +149,7 @@ func newMaint(prog *ast.Program, edb *database.DB, opts eval.Options) (*maint, e
 }
 
 // wire assembles a maint around an existing (base, live) pair: strata
-// maps, head/body relation pointers, and plan memos. It does not run a
+// maps and head/body relation pointers. It does not run a
 // fixpoint and does not touch counts — newMaint computes them fresh,
 // while the durable attach path (durable.go) restores them from a
 // snapshot.
@@ -186,8 +181,6 @@ func wire(prog *ast.Program, rules []plan.Rule, nslots int, base, live *database
 		m.strataBody = append(m.strataBody, body)
 		m.strataPreds = append(m.strataPreds, preds)
 	}
-	m.deltaMemo = make([][]deltaEntry, len(m.rules))
-	m.resMemo = make([][]resEntry, len(m.rules))
 	m.headRels = make([]*database.Relation, len(m.rules))
 	m.bodyRels = make([][]*database.Relation, len(m.rules))
 	m.atomIdx = make([][]int, len(m.rules))
@@ -196,8 +189,6 @@ func wire(prog *ast.Program, rules []plan.Rule, nslots int, base, live *database
 		m.counted[r.HeadPred] = true
 		m.headRels[ri] = m.live.Relation(r.HeadPred, len(r.Head))
 		m.headRels[ri].EnableCounts()
-		m.deltaMemo[ri] = make([]deltaEntry, len(r.Body))
-		m.resMemo[ri] = make([]resEntry, len(r.Body))
 		m.bodyRels[ri] = make([]*database.Relation, len(r.Body))
 		m.atomIdx[ri] = make([]int, len(r.Body))
 		for ai := range r.Body {
@@ -205,85 +196,6 @@ func wire(prog *ast.Program, rules []plan.Rule, nslots int, base, live *database
 		}
 	}
 	return m
-}
-
-// deltaEntry and resEntry are plan-memo slots, keyed by the statistics
-// epoch they were built under.
-type deltaEntry struct {
-	p     *plan.Plan
-	epoch uint64
-}
-
-type resEntry struct {
-	p     *plan.Plan
-	epoch uint64
-	// rels resolves each step's relation; odMask and rvMask are the
-	// per-step row-phase skip masks for the overdelete and revival
-	// passes (positions before the delta atom exclude the current
-	// frontier as well, making the enumeration exactly-once).
-	rels   []*database.Relation
-	odMask []uint8
-	rvMask []uint8
-}
-
-// deltaPlan returns the semi-naive plan for rule ri with delta position
-// ai, through the per-rule memo.
-func (m *maint) deltaPlan(ri, ai int, epoch uint64, meter *guard.Meter) (*plan.Plan, error) {
-	e := &m.deltaMemo[ri][ai]
-	if e.p != nil && e.epoch == epoch {
-		m.planner.Hits++
-		return e.p, nil
-	}
-	p, cached := m.planner.Plan(plan.Request{
-		Rule:     &m.rules[ri],
-		DeltaPos: ai,
-		DB:       m.live,
-		Epoch:    epoch,
-	})
-	if !cached {
-		if err := meter.Charge("ivm/plan", guard.Plans, 1); err != nil {
-			return nil, err
-		}
-	}
-	e.p, e.epoch = p, epoch
-	return p, nil
-}
-
-// residualEntry returns the residual plan for rule ri minus atom ai,
-// with its per-step relations and skip masks, through the memo.
-func (m *maint) residualEntry(ri, ai int, epoch uint64, meter *guard.Meter) (*resEntry, error) {
-	e := &m.resMemo[ri][ai]
-	if e.p != nil && e.epoch == epoch {
-		m.planner.Hits++
-		return e, nil
-	}
-	p, cached := m.planner.Plan(plan.Request{
-		Rule:     &m.rules[ri],
-		DeltaPos: ai,
-		DB:       m.live,
-		Epoch:    epoch,
-		Residual: true,
-	})
-	if !cached {
-		if err := meter.Charge("ivm/plan", guard.Plans, 1); err != nil {
-			return nil, err
-		}
-	}
-	e.p, e.epoch = p, epoch
-	e.rels = e.rels[:0]
-	e.odMask = e.odMask[:0]
-	e.rvMask = e.rvMask[:0]
-	for si := range p.Steps {
-		e.rels = append(e.rels, m.live.Lookup(p.Steps[si].Pred))
-		if p.Steps[si].Atom < ai {
-			e.odMask = append(e.odMask, rsFront|rsProp)
-			e.rvMask = append(e.rvMask, rsDead|rsRev)
-		} else {
-			e.odMask = append(e.odMask, rsProp)
-			e.rvMask = append(e.rvMask, rsDead)
-		}
-	}
-	return e, nil
 }
 
 // track rebuilds the tracked-relation snapshot after admission: the

@@ -3,6 +3,7 @@ package ivm_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"datalogeq/internal/ast"
@@ -203,6 +204,104 @@ func TestBudgetTripPoisonsHandle(t *testing.T) {
 	}
 }
 
+// baseRows renders every relation of db with its rows in slab order,
+// so two renderings agree only when contents and row order do.
+func baseRows(db *database.DB) string {
+	var b strings.Builder
+	for _, p := range db.Preds() {
+		r := db.Lookup(p)
+		for i := 0; i < r.Len(); i++ {
+			fmt.Fprintf(&b, "%s%v\n", p, r.RowAt(i).Tuple())
+		}
+	}
+	return b.String()
+}
+
+// TestInjectedTripLeavesBase: a failed update reports its batch as not
+// applied, and a server rebuilds an in-memory handle from Base(), so a
+// failed Insert or Retract must leave Base() as it was, in contents and
+// in row order. Every Maintained charge point of one insert batch and
+// of one retract is tripped in turn.
+func TestInjectedTripLeavesBase(t *testing.T) {
+	prog := parser.MustProgram(tcSrc)
+	const start = "e(a, b). e(b, c). e(c, d). e(x, y). tc(b, d)."
+	ops := []struct {
+		name   string
+		insert bool
+		facts  string
+	}{
+		// New edges, an edge already asserted, a derived fact asserted,
+		// and a predicate the program does not mention.
+		{"insert", true, "e(d, f), e(f, g), e(a, b), tc(a, c), u(z)"},
+		// Edges mid-chain and apart, a duplicate within the batch, an
+		// asserted derived fact, and a fact never asserted.
+		{"retract", false, "e(b, c), e(x, y), e(b, c), tc(b, d), e(q, r)"},
+	}
+	apply := func(h *eval.Handle, insert bool, facts []ast.Atom) (eval.UpdateStats, error) {
+		if insert {
+			return h.Insert(facts)
+		}
+		return h.Retract(facts)
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			facts := parser.MustAtomList(op.facts)
+			us, err := apply(mustMaintain(t, prog, database.MustParse(start), eval.Options{}), op.insert, facts)
+			if err != nil {
+				t.Fatalf("unarmed %s: %v", op.name, err)
+			}
+			points := us.Budget.Maintained
+			if points < 5 {
+				t.Fatalf("%s charged %d Maintained points, want at least 5", op.name, points)
+			}
+			for k := int64(1); k <= points; k++ {
+				opts := eval.Options{Budget: guard.InjectFault(guard.Budget{}, guard.Maintained, k)}
+				h := mustMaintain(t, prog, database.MustParse(start), opts)
+				want := baseRows(h.Base())
+				if _, err := apply(h, op.insert, facts); err == nil {
+					t.Fatalf("trip point %d of %d did not fire", k, points)
+				}
+				if got := baseRows(h.Base()); got != want {
+					t.Errorf("trip point %d of %d changed Base():\n%swant:\n%s", k, points, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestTipTogglesBuildNoPlans: once one tip insert and retract have
+// warmed a forest's plan cache, further tip toggles plan at epochs
+// their slots already hold, so they build no plans.
+func TestTipTogglesBuildNoPlans(t *testing.T) {
+	prog := parser.MustProgram(tcSrc)
+	const chains, length = 50, 10
+	base := database.New()
+	for c := 0; c < chains; c++ {
+		for j := 0; j+1 < length; j++ {
+			base.Add("e", database.Tuple{fmt.Sprintf("c%dn%d", c, j), fmt.Sprintf("c%dn%d", c, j+1)})
+		}
+	}
+	h := mustMaintain(t, prog, base, eval.Options{})
+	for i := 0; i <= 2*chains; i++ {
+		c := i % chains
+		tip := parser.MustAtomList(fmt.Sprintf("e(c%dn%d, c%dtip)", c, length-1, c))
+		ins, err := h.Insert(tip)
+		if err != nil {
+			t.Fatalf("toggle %d insert: %v", i, err)
+		}
+		ret, err := h.Retract(tip)
+		if err != nil {
+			t.Fatalf("toggle %d retract: %v", i, err)
+		}
+		if i > 0 && (ins.Budget.Plans != 0 || ret.Budget.Plans != 0) {
+			t.Fatalf("toggle %d built %d insert and %d retract plans, want none", i, ins.Budget.Plans, ret.Budget.Plans)
+		}
+	}
+	if got, want := h.DB().String(), fromScratch(t, prog, base); got != want {
+		t.Fatalf("after toggles:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // errorsAs avoids importing errors just for one call.
 func errorsAs(err error, target **guard.LimitError) bool {
 	for err != nil {
@@ -231,7 +330,9 @@ func applyOp(base *database.DB, insert bool, facts []ast.Atom) {
 					row = append(row, database.Intern(t.Name))
 				}
 				if id := r.RowID(row); id >= 0 {
-					r.DeleteRows(func(i int) bool { return i == int(id) })
+					marks := make([]uint8, r.Len())
+					marks[id] = 1
+					r.DeleteRowsMarked(marks, 1)
 				}
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"datalogeq/internal/ast"
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
+	"datalogeq/internal/guard"
+	"datalogeq/internal/plan"
 )
 
 // Retract: counting delete-and-rederive. Retracted base facts lose
@@ -39,7 +41,6 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 	u := m.newUpdate(meter, &us)
 	u.x.SkipRow = u.skipRow
 
-	baseDead := make(map[string]map[int32]bool)
 	for _, ad := range adms {
 		br := m.base.Lookup(ad.pred)
 		if br == nil {
@@ -49,15 +50,13 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 		if bid < 0 {
 			continue
 		}
-		bd := baseDead[ad.pred]
-		if bd == nil {
-			bd = make(map[int32]bool)
-			baseDead[ad.pred] = bd
-		}
-		if bd[bid] {
+		// The base row is only marked: it leaves the base after the
+		// cascade succeeds, so a failed update leaves Base() unchanged.
+		bs := u.stateOf(br)
+		if bs[bid]&rsDead != 0 {
 			continue // duplicate within the batch
 		}
-		bd[bid] = true
+		bs[bid] |= rsDead
 		lr := m.live.Lookup(ad.pred)
 		lid := lr.RowID(ad.row)
 		if m.counted[ad.pred] {
@@ -78,10 +77,6 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 				return m.fail(&us, meter, err)
 			}
 		}
-	}
-	for _, pred := range sortedKeys(baseDead) {
-		bd := baseDead[pred]
-		m.base.Lookup(pred).DeleteRows(func(i int) bool { return bd[int32(i)] })
 	}
 
 	for si, s := range m.strata {
@@ -104,6 +99,17 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 		for j := 0; j < n; j++ {
 			if err := m.charge(meter, "ivm/retract"); err != nil {
 				return m.fail(&us, meter, err)
+			}
+		}
+	}
+	// Every step that can fail is done: the marked base rows go too.
+	// Truncating the phase array after the compaction keeps a repeated
+	// predicate from compacting again against shifted row IDs.
+	for _, ad := range adms {
+		if br := m.base.Lookup(ad.pred); br != nil {
+			if bs := u.st[br]; len(bs) != 0 {
+				br.DeleteRowsMarked(bs, rsDead)
+				u.st[br] = bs[:0]
 			}
 		}
 	}
@@ -137,44 +143,11 @@ func (u *update) retractStratum(si int, s ast.Stratum) error {
 	fired := false
 	next := u.fb
 	for front.n > 0 {
-		if err := u.meter.CheckWall("ivm/retract"); err != nil {
+		roundFired, err := u.frontierRound(s, front, next, rsFront|rsProp, rsProp)
+		if err != nil {
 			return err
 		}
-		epoch := m.live.StatsEpoch()
-		next.reset()
-		u.next = next
-		roundFired := false
-		for _, ri := range s.Rules {
-			r := &m.rules[ri]
-			for ai := range r.Body {
-				rows := front.rows[r.Body[ai].Pred]
-				if len(rows) == 0 {
-					continue
-				}
-				roundFired = true
-				e, err := m.residualEntry(ri, ai, epoch, u.meter)
-				if err != nil {
-					return err
-				}
-				u.prepTask(e, e.odMask)
-				u.rule = r
-				u.headRel = m.headRels[ri]
-				frel := m.bodyRels[ri][ai]
-				for _, rid := range rows {
-					if !u.bindDelta(r, ai, frel, rid) {
-						continue
-					}
-					u.x.RunBounded(e.p, nil)
-					if m.tripErr != nil {
-						return m.tripErr
-					}
-				}
-			}
-		}
-		if roundFired {
-			u.us.Rounds++
-			fired = true
-		}
+		fired = fired || roundFired
 		// Promote: the propagated frontier joins the exclusion set, and
 		// this round's kills become the next frontier.
 		for _, p := range front.preds {
@@ -236,42 +209,8 @@ func (u *update) rederive(si int, s ast.Stratum) error {
 	u.mode = updRevive
 	next := u.fb
 	for front.n > 0 {
-		if err := u.meter.CheckWall("ivm/retract"); err != nil {
+		if _, err := u.frontierRound(s, front, next, rsDead|rsRev, rsDead); err != nil {
 			return err
-		}
-		epoch := m.live.StatsEpoch()
-		next.reset()
-		u.next = next
-		roundFired := false
-		for _, ri := range s.Rules {
-			r := &m.rules[ri]
-			for ai := range r.Body {
-				rows := front.rows[r.Body[ai].Pred]
-				if len(rows) == 0 {
-					continue
-				}
-				roundFired = true
-				e, err := m.residualEntry(ri, ai, epoch, u.meter)
-				if err != nil {
-					return err
-				}
-				u.prepTask(e, e.rvMask)
-				u.rule = r
-				u.headRel = m.headRels[ri]
-				frel := m.bodyRels[ri][ai]
-				for _, rid := range rows {
-					if !u.bindDelta(r, ai, frel, rid) {
-						continue
-					}
-					u.x.RunBounded(e.p, nil)
-					if m.tripErr != nil {
-						return m.tripErr
-					}
-				}
-			}
-		}
-		if roundFired {
-			u.us.Rounds++
 		}
 		// The propagated revivals become plain live rows; buffered
 		// revivals come alive and form the next frontier.
@@ -293,16 +232,59 @@ func (u *update) rederive(si int, s ast.Stratum) error {
 	return nil
 }
 
-// sortedKeys returns the map's keys in ascending order.
-func sortedKeys(m map[string]map[int32]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// frontierRound runs one round of the retraction cascade through
+// stratum s: for every rule and every body position with rows in
+// front, the residual plan joins the rest of the body against each
+// frontier row, skipping rows whose phase intersects before at steps
+// over earlier body atoms and after at the rest. Matches run onMatch
+// under u.mode, which buffers the next frontier into next. It reports
+// whether any task ran.
+func (u *update) frontierRound(s ast.Stratum, front, next *frontier, before, after uint8) (bool, error) {
+	m := u.m
+	if err := u.meter.CheckWall("ivm/retract"); err != nil {
+		return false, err
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	epoch := m.live.StatsEpoch()
+	next.reset()
+	u.next = next
+	fired := false
+	for _, ri := range s.Rules {
+		r := &m.rules[ri]
+		for ai := range r.Body {
+			rows := front.rows[r.Body[ai].Pred]
+			if len(rows) == 0 {
+				continue
+			}
+			fired = true
+			p, cached := m.planner.Plan(plan.Request{
+				Rule:     r,
+				DeltaPos: ai,
+				DB:       m.live,
+				Epoch:    epoch,
+				Residual: true,
+			})
+			if !cached {
+				if err := u.meter.Charge("ivm/plan", guard.Plans, 1); err != nil {
+					return fired, err
+				}
+			}
+			u.prepTask(ri, ai, p, before, after)
+			u.rule = r
+			u.headRel = m.headRels[ri]
+			frel := m.bodyRels[ri][ai]
+			for _, rid := range rows {
+				if !u.bindDelta(r, ai, frel, rid) {
+					continue
+				}
+				u.x.RunBounded(p, nil)
+				if m.tripErr != nil {
+					return fired, m.tripErr
+				}
+			}
 		}
 	}
-	return out
+	if fired {
+		u.us.Rounds++
+	}
+	return fired, nil
 }

@@ -12,8 +12,8 @@ import (
 // state lives in per-relation byte arrays instead of hash sets, the
 // executor and its callbacks are built once per update, frontier
 // buffers are swapped and reset rather than reallocated, and plans come
-// from a per-(rule, position) memo that skips the planner's string-keyed
-// cache on epoch hits.
+// straight from the handle's planner, whose slots are keyed by the
+// compiled rule.
 
 // Row phase bits, per relation, allocated lazily for relations an
 // update actually touches. IDs index the pre-compaction slab, so the
@@ -104,9 +104,18 @@ type update struct {
 	stepStates [][]uint8
 	skipMask   []uint8
 
-	// Insert state: tracked-relation length snapshots.
+	// Insert state: tracked-relation length snapshots, and each base
+	// relation's length before admission, for undoing a failed Insert.
 	prev, cur []int
 	bounds    []plan.Window
+	baseLens  []baseLen
+}
+
+// baseLen is a base relation's length before an Insert admitted rows
+// to it.
+type baseLen struct {
+	rel *database.Relation
+	n   int
 }
 
 // newUpdate returns the handle's pooled update, reset. Updates are
@@ -133,6 +142,7 @@ func (m *maint) newUpdate(meter *guard.Meter, us *eval.UpdateStats) *update {
 		u.st[rel] = s[:0]
 	}
 	u.deadOrder = u.deadOrder[:0]
+	u.baseLens = u.baseLens[:0]
 	u.fa.reset()
 	u.fb.reset()
 	u.x.SkipRow = nil
@@ -202,23 +212,26 @@ func (u *update) isDead(rel *database.Relation, rid int32) bool {
 	return len(s) != 0 && s[rid]&rsDead != 0
 }
 
-// prepTask points the executor's row filter at one task's step
-// relations and skip masks (from the residual-plan memo entry).
-func (u *update) prepTask(e *resEntry, mask []uint8) {
-	u.skipMask = mask
-	if cap(u.stepStates) < len(e.rels) {
-		u.stepStates = make([][]uint8, len(e.rels))
-	}
-	u.stepStates = u.stepStates[:len(e.rels)]
-	for i, rel := range e.rels {
-		u.stepStates[i] = nil
-		if rel != nil {
-			// A zero-length entry is a pooled buffer from an earlier
-			// update, not state: treat it as untouched.
-			if s := u.st[rel]; len(s) != 0 {
-				u.stepStates[i] = s
-			}
+// prepTask points the executor's row filter at one residual task of
+// rule ri with delta position ai: each step's body relation and skip
+// mask — before for steps over atoms preceding ai, after for the rest.
+func (u *update) prepTask(ri, ai int, p *plan.Plan, before, after uint8) {
+	u.stepStates = u.stepStates[:0]
+	u.skipMask = u.skipMask[:0]
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		mask := after
+		if st.Atom < ai {
+			mask = before
 		}
+		u.skipMask = append(u.skipMask, mask)
+		// A zero-length entry is a pooled buffer from an earlier update,
+		// not state: treat it as untouched.
+		s := u.st[u.m.bodyRels[ri][st.Atom]]
+		if len(s) == 0 {
+			s = nil
+		}
+		u.stepStates = append(u.stepStates, s)
 	}
 }
 

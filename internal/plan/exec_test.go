@@ -120,11 +120,10 @@ func TestExecMatchesBruteForce(t *testing.T) {
 			hi = lo + rng.Intn(rel.Len()-lo+1)
 		}
 		want := bruteMatches(atoms, nslots, db, deltaPos, lo, hi)
-		fp := Fingerprint(atoms, nil)
 		for _, fixed := range []bool{false, true} {
 			pl := Planner{Fixed: fixed}
 			p, _ := pl.Plan(Request{
-				Rule:     &Rule{Body: atoms, Fingerprint: fp, NumSlots: nslots},
+				Rule:     &Rule{Body: atoms, NumSlots: nslots},
 				DeltaPos: deltaPos,
 				DB:       db,
 				Epoch:    0,
@@ -164,7 +163,7 @@ func TestExecStopWindsDown(t *testing.T) {
 	}
 	atoms := []Atom{atomV("e", 0, 1), atomV("e", 2, 3)}
 	var pl Planner
-	p, _ := pl.Plan(Request{Rule: &Rule{Body: atoms, Fingerprint: "t", NumSlots: 4}, DeltaPos: -1, DB: db, Epoch: 0})
+	p, _ := pl.Plan(Request{Rule: &Rule{Body: atoms, NumSlots: 4}, DeltaPos: -1, DB: db, Epoch: 0})
 	var stop atomic.Bool
 	matches := 0
 	x := Exec{Env: make([]uint32, 4), Stop: &stop, OnMatch: func() { matches++ }}

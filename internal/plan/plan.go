@@ -25,10 +25,13 @@
 // matches in a deterministic order. Planning itself is deterministic:
 // ties in the cost model break toward the lowest original atom index.
 //
-// Plans are cached by (body fingerprint, delta position, stats epoch):
-// while the store's StatsEpoch is unchanged, every cardinality the cost
-// model would read is close enough that replanning cannot change the
-// chosen order, so stable fixpoint rounds replan nothing.
+// The Planner is the only plan cache. It keeps one plan per slot — a
+// compiled *Rule, a delta position, and the residual flag — together
+// with the stats epoch the plan was built at, and rebuilds the slot's
+// plan whenever the requested epoch differs. While the store's
+// StatsEpoch is unchanged, every cardinality the cost model would read
+// is close enough that replanning cannot change the chosen order, so
+// stable fixpoint rounds replan nothing.
 package plan
 
 import (
@@ -139,21 +142,23 @@ type Step struct {
 	EstRows float64
 
 	// rel is the relation resolved at plan time; nil when the predicate
-	// had no relation yet (the step matches nothing, and the store's
-	// StatsEpoch bump on relation creation invalidates the plan).
+	// had no relation yet, and then the step matches nothing. A plan
+	// with a nil rel is never reused after the relation appears: eval
+	// never deletes rows during an evaluation, so every term of
+	// StatsEpoch only grows and creating a relation changes the epoch,
+	// and ivm's wire creates every rule relation up front.
 	rel *database.Relation
 }
 
-// Plan is a compiled, cached join plan for one (rule body, delta
-// position) pair at one stats epoch.
+// Plan is a compiled, cached join plan for one (rule, delta position)
+// pair at one stats epoch.
 type Plan struct {
 	Steps []Step
 	// DeltaPos is the original atom position restricted to the window;
 	// -1 for a full (non-semi-naive) firing.
 	DeltaPos int
-	// Fingerprint and Epoch are the cache key the plan was built under.
-	Fingerprint string
-	Epoch       uint64
+	// Epoch is the stats epoch the plan was built at.
+	Epoch uint64
 	// NumSlots is the environment size the executor needs.
 	NumSlots int
 	// Fixed marks a plan built in textual body order (planner off).

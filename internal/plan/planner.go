@@ -2,8 +2,6 @@ package plan
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 
 	"datalogeq/internal/database"
 )
@@ -13,7 +11,8 @@ import (
 // to plan against.
 type Request struct {
 	// Rule supplies the slot-form body, the head slots kept live to the
-	// end, the environment size, and the plan-cache fingerprint.
+	// end, and the environment size; it is also the plan cache's key, so
+	// callers pass the same *Rule for every task of one rule.
 	Rule *Rule
 	// DeltaPos is the body position restricted to the task's delta
 	// window, or -1 for a full firing.
@@ -23,8 +22,9 @@ type Request struct {
 	// rounds, single-threaded).
 	DB *database.DB
 	// Epoch is DB.StatsEpoch() at the round boundary, the cache's
-	// staleness key. The caller reads it once per round so every task
-	// of a round keys against the same epoch.
+	// staleness key, compared only for equality. The caller reads it
+	// once per round so every task of a round keys against the same
+	// epoch.
 	Epoch uint64
 	// Residual requests a plan over the body minus the DeltaPos atom,
 	// with that atom's slots treated as bound from the start: the caller
@@ -33,61 +33,24 @@ type Request struct {
 	Residual bool
 }
 
-// Fingerprint renders the structural identity of a rule body and its
-// head's slot usage: predicates, constants, and the slot-sharing
-// pattern. Two rules with identical fingerprints can share cached
-// plans — head predicate names do not matter, head slot usage does
-// (it decides which slots are live to the end).
-func Fingerprint(atoms []Atom, headSlots []int) string {
-	var b strings.Builder
-	for i, a := range atoms {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(a.Pred)
-		b.WriteByte('(')
-		for j, arg := range a.Args {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			if arg.Const {
-				b.WriteByte('c')
-				b.WriteString(strconv.FormatUint(uint64(arg.ID), 10))
-			} else {
-				b.WriteByte('s')
-				b.WriteString(strconv.Itoa(arg.Slot))
-			}
-		}
-		b.WriteByte(')')
-	}
-	b.WriteString("|h")
-	for _, s := range headSlots {
-		b.WriteByte('s')
-		b.WriteString(strconv.Itoa(s))
-	}
-	return b.String()
-}
-
-// cacheKey is the full plan-cache key: while the epoch is unchanged,
-// the statistics a plan was costed against still hold.
-type cacheKey struct {
-	fp       string
-	deltaPos int
-	epoch    uint64
-	residual bool
-}
-
-// shapeKey identifies a planning problem across epochs, for the replan
-// counter.
-type shapeKey struct {
-	fp       string
+// slotKey names one plan slot: a compiled rule, the body position of
+// the task's delta (-1 for a full firing), and the residual flag.
+type slotKey struct {
+	rule     *Rule
 	deltaPos int
 	residual bool
 }
 
-// Planner builds and caches plans. One Planner serves one evaluation;
-// it is not safe for concurrent use (eval plans single-threaded between
-// rounds).
+// slot is the plan a slot holds and the stats epoch it was built at.
+type slot struct {
+	p     *Plan
+	epoch uint64
+}
+
+// Planner builds and caches plans, one per slot. One Planner serves one
+// evaluation or one maintained handle; it is not safe for concurrent
+// use (eval plans single-threaded between rounds, ivm updates are
+// serialized).
 type Planner struct {
 	// Fixed disables cost-based ordering: plans keep the textual body
 	// order, with the same mask/pushdown compilation. This is the
@@ -95,38 +58,33 @@ type Planner struct {
 	// semantics to the pre-planner left-to-right engine.
 	Fixed bool
 
-	cache map[cacheKey]*Plan
-	seen  map[shapeKey]uint64
+	slots map[slotKey]slot
 
-	// Hits / Misses / Replans count cache behavior: a replan is a miss
-	// for a shape that was already planned at an older epoch.
+	// Hits / Misses / Replans count per-slot cache behavior: a hit finds
+	// the slot's plan built at the requested epoch, and a replan is a
+	// miss on a slot that held a plan built at another epoch.
 	Hits, Misses, Replans uint64
 }
 
-// Plan returns the plan for req, building and caching it on a miss.
-// cached reports a cache hit; callers charge plan-construction budgets
-// only on misses.
+// Plan returns the plan for req, rebuilding its slot's plan whenever
+// the slot was built at another epoch. cached reports a hit; callers
+// charge plan-construction budgets only on misses.
 func (pl *Planner) Plan(req Request) (p *Plan, cached bool) {
-	key := cacheKey{req.Rule.Fingerprint, req.DeltaPos, req.Epoch, req.Residual}
-	if p, ok := pl.cache[key]; ok {
+	k := slotKey{req.Rule, req.DeltaPos, req.Residual}
+	s, ok := pl.slots[k]
+	if ok && s.epoch == req.Epoch {
 		pl.Hits++
-		return p, true
+		return s.p, true
 	}
 	pl.Misses++
-	sk := shapeKey{req.Rule.Fingerprint, req.DeltaPos, req.Residual}
-	if last, ok := pl.seen[sk]; ok && last != req.Epoch {
+	if ok {
 		pl.Replans++
 	}
-	if pl.seen == nil {
-		pl.seen = make(map[shapeKey]uint64)
-	}
-	pl.seen[sk] = req.Epoch
-
 	p = pl.build(req)
-	if pl.cache == nil {
-		pl.cache = make(map[cacheKey]*Plan)
+	if pl.slots == nil {
+		pl.slots = make(map[slotKey]slot)
 	}
-	pl.cache[key] = p
+	pl.slots[k] = slot{p, req.Epoch}
 	return p, false
 }
 
@@ -159,12 +117,11 @@ func (pl *Planner) build(req Request) *Plan {
 		order = chooseOrder(r.Body, req.DeltaPos, req.DB, req.Residual)
 	}
 	p := &Plan{
-		DeltaPos:    req.DeltaPos,
-		Fingerprint: r.Fingerprint,
-		Epoch:       req.Epoch,
-		NumSlots:    r.NumSlots,
-		Fixed:       pl.Fixed,
-		Residual:    req.Residual,
+		DeltaPos: req.DeltaPos,
+		Epoch:    req.Epoch,
+		NumSlots: r.NumSlots,
+		Fixed:    pl.Fixed,
+		Residual: req.Residual,
 	}
 	stepDelta := req.DeltaPos
 	if req.Residual {

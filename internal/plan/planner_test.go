@@ -42,7 +42,7 @@ func TestGreedyOrderPicksSelectiveFirst(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	var pl Planner
 	p, cached := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0}), NumSlots: 3, HeadSlots: []int{0}},
+		Rule:     &Rule{Body: atoms, NumSlots: 3, HeadSlots: []int{0}},
 		DeltaPos: -1,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),
@@ -77,7 +77,7 @@ func TestDeltaAtomForcedFirst(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3},
+		Rule:     &Rule{Body: atoms, NumSlots: 3},
 		DeltaPos: 1,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),
@@ -92,32 +92,46 @@ func TestDeltaAtomForcedFirst(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHitMissReplan pins the cache-key semantics: same
-// (fingerprint, delta, epoch) hits; a new epoch for a known shape is a
-// miss counted as a replan; a new shape is a plain miss.
+// TestPlanCacheHitMissReplan pins the slot semantics: the same
+// (rule, delta, residual) at the same epoch hits; another epoch on a
+// filled slot is a miss counted as a replan, and so is a return to an
+// earlier epoch, since a slot holds one plan; a new delta position or a
+// second *Rule with an identical body is a plain miss in its own slot.
 func TestPlanCacheHitMissReplan(t *testing.T) {
 	db := starDB(t)
 	atoms := []Atom{atomV("d1", 0, 1), atomV("sel", 0)}
-	fp := Fingerprint(atoms, []int{0})
 	var pl Planner
-	req := Request{Rule: &Rule{Body: atoms, Fingerprint: fp, NumSlots: 2, HeadSlots: []int{0}}, DeltaPos: -1, DB: db, Epoch: 7}
-
-	p1, cached := pl.Plan(req)
-	if cached || pl.Misses != 1 || pl.Hits != 0 || pl.Replans != 0 {
-		t.Fatalf("first call: cached=%v hits=%d misses=%d replans=%d", cached, pl.Hits, pl.Misses, pl.Replans)
+	req := Request{Rule: &Rule{Body: atoms, NumSlots: 2, HeadSlots: []int{0}}, DeltaPos: -1, DB: db, Epoch: 7}
+	check := func(step string, wantCached bool, hits, misses, replans uint64) *Plan {
+		t.Helper()
+		p, cached := pl.Plan(req)
+		if cached != wantCached || pl.Hits != hits || pl.Misses != misses || pl.Replans != replans {
+			t.Fatalf("%s: cached=%v hits=%d misses=%d replans=%d, want cached=%v hits=%d misses=%d replans=%d",
+				step, cached, pl.Hits, pl.Misses, pl.Replans, wantCached, hits, misses, replans)
+		}
+		return p
 	}
-	p2, cached := pl.Plan(req)
-	if !cached || p2 != p1 || pl.Hits != 1 {
-		t.Fatalf("second call: cached=%v same=%v hits=%d", cached, p2 == p1, pl.Hits)
+
+	p1 := check("first call", false, 0, 1, 0)
+	if p2 := check("same epoch", true, 1, 1, 0); p2 != p1 {
+		t.Fatal("same-epoch hit returned a different plan")
 	}
 	req.Epoch = 8
-	if _, cached := pl.Plan(req); cached || pl.Replans != 1 {
-		t.Fatalf("epoch bump: cached=%v replans=%d, want miss with 1 replan", cached, pl.Replans)
+	check("new epoch", false, 1, 2, 1)
+	req.Epoch = 7
+	if p3 := check("earlier epoch", false, 1, 3, 2); p3 == p1 {
+		t.Fatal("return to an earlier epoch reused the evicted plan")
 	}
 	req.DeltaPos = 0
-	if _, cached := pl.Plan(req); cached || pl.Replans != 1 {
-		t.Fatalf("new shape: cached=%v replans=%d, want plain miss", cached, pl.Replans)
-	}
+	check("new delta position", false, 1, 4, 2)
+	req.Residual = true
+	check("residual", false, 1, 5, 2)
+
+	twin := *req.Rule
+	req.Rule = &twin
+	req.DeltaPos, req.Residual = -1, false
+	check("identical body, second rule", false, 1, 6, 2)
+	check("second rule, same epoch", true, 2, 6, 2)
 }
 
 // TestFixedModeKeepsTextualOrder: the planner-off baseline preserves
@@ -127,7 +141,7 @@ func TestFixedModeKeepsTextualOrder(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	pl := Planner{Fixed: true}
 	p, _ := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3},
+		Rule:     &Rule{Body: atoms, NumSlots: 3},
 		DeltaPos: -1,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),
@@ -154,7 +168,7 @@ func TestDeadSlotAnnotation(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 1, 2)}
 	pl := Planner{Fixed: true}
 	p, _ := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		Rule:     &Rule{Body: atoms, NumSlots: 3, HeadSlots: []int{0, 2}},
 		DeltaPos: -1,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),
@@ -167,27 +181,6 @@ func TestDeadSlotAnnotation(t *testing.T) {
 	}
 }
 
-// TestFingerprint pins that fingerprints distinguish structure
-// (predicates, constants, slot sharing, head slots) and nothing else.
-func TestFingerprint(t *testing.T) {
-	a := []Atom{atomV("e", 0, 1), atomV("e", 1, 2)}
-	b := []Atom{atomV("e", 0, 1), atomV("e", 1, 2)}
-	if Fingerprint(a, []int{0, 2}) != Fingerprint(b, []int{0, 2}) {
-		t.Error("identical shapes must share fingerprints")
-	}
-	c := []Atom{atomV("e", 0, 1), atomV("e", 0, 2)} // different sharing
-	if Fingerprint(a, []int{0, 2}) == Fingerprint(c, []int{0, 2}) {
-		t.Error("different slot sharing must not collide")
-	}
-	if Fingerprint(a, []int{0, 2}) == Fingerprint(a, []int{0}) {
-		t.Error("different head slots must not collide")
-	}
-	d := []Atom{{Pred: "e", Args: []Arg{{Const: true, ID: 3}, {Slot: 1}}}, atomV("e", 1, 2)}
-	if Fingerprint(a, []int{0, 2}) == Fingerprint(d, []int{0, 2}) {
-		t.Error("constants must not collide with slots")
-	}
-}
-
 // TestRenderShowsAccessPaths: the explain rendering names the probe
 // columns and the projection points.
 func TestRenderShowsAccessPaths(t *testing.T) {
@@ -195,7 +188,7 @@ func TestRenderShowsAccessPaths(t *testing.T) {
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0}), NumSlots: 3, HeadSlots: []int{0}},
+		Rule:     &Rule{Body: atoms, NumSlots: 3, HeadSlots: []int{0}},
 		DeltaPos: -1,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),

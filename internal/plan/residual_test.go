@@ -27,9 +27,10 @@ func node(i int) string {
 func TestResidualPlan(t *testing.T) {
 	db := chainDB(t, 4) // a-b-c-d-e
 	atoms := []Atom{atomV("e", 0, 1), atomV("e", 1, 2)}
+	rule := &Rule{Body: atoms, NumSlots: 3, HeadSlots: []int{0, 2}}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		Rule:     rule,
 		DeltaPos: 0,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),
@@ -57,9 +58,10 @@ func TestResidualPlan(t *testing.T) {
 	if len(got) != 1 || got[0] != "bcd" {
 		t.Fatalf("residual matches = %v, want [bcd]", got)
 	}
-	// The same fingerprint without Residual must not share the cache slot.
+	// The same rule and delta position without Residual must not share
+	// the cache slot.
 	full, cached := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		Rule:     rule,
 		DeltaPos: 0,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),
@@ -82,7 +84,7 @@ func TestRunBounded(t *testing.T) {
 	var pl Planner
 	count := func(deltaPos int, bounds []Window) int {
 		p, _ := pl.Plan(Request{
-			Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+			Rule:     &Rule{Body: atoms, NumSlots: 3, HeadSlots: []int{0, 2}},
 			DeltaPos: deltaPos,
 			DB:       db,
 			Epoch:    db.StatsEpoch(),
@@ -112,7 +114,7 @@ func TestSkipRow(t *testing.T) {
 	atoms := []Atom{atomV("e", 0, 1), atomV("e", 1, 2)}
 	var pl Planner
 	p, _ := pl.Plan(Request{
-		Rule:     &Rule{Body: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3, HeadSlots: []int{0, 2}},
+		Rule:     &Rule{Body: atoms, NumSlots: 3, HeadSlots: []int{0, 2}},
 		DeltaPos: -1,
 		DB:       db,
 		Epoch:    db.StatsEpoch(),

@@ -55,8 +55,6 @@ type Rule struct {
 	HeadSlots []int
 	// NumSlots is the rule's environment size.
 	NumSlots int
-	// Fingerprint is the plan-cache key of (Body, HeadSlots).
-	Fingerprint string
 	// Names maps env slots back to source variable names, for explain
 	// output.
 	Names []string
@@ -124,7 +122,6 @@ func compileRule(r ast.Rule, idb map[ast.PredSym]bool) Rule {
 		}
 	}
 	cr.NumSlots = len(slots)
-	cr.Fingerprint = Fingerprint(cr.Body, cr.HeadSlots)
 	return cr
 }
 

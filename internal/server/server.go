@@ -542,7 +542,8 @@ func (s *Server) runApply(ctx context.Context, t *tenantState, op byte, facts []
 // materialization. Durable servers recover from the store — whose
 // contents are exactly the acknowledged batches, so the aborted update
 // vanishes. In-memory servers re-materialize from the current base
-// database. Requires hmu held exclusively. A rebuild failure marks the
+// database, which a failed update leaves as it was. Requires hmu held
+// exclusively. A rebuild failure marks the
 // server degraded rather than crashing it.
 func (s *Server) rebuildLocked(cause error) {
 	s.rebuilds.Add(1)

@@ -201,9 +201,12 @@ func goalFactLines(db *database.DB, goal string) []string {
 	if rel == nil {
 		return nil
 	}
-	lines := make([]string, 0, rel.Len())
+	lines := make([]string, 0, rel.LiveLen())
 	var row database.Row
 	for i := 0; i < rel.Len(); i++ {
+		if rel.Dead(i) {
+			continue
+		}
 		row = rel.AppendRowAt(row[:0], i)
 		args := make([]ast.Term, len(row))
 		for j, id := range row {
@@ -280,6 +283,9 @@ func dbAtoms(db *database.DB) []ast.Atom {
 	for _, pred := range db.Preds() {
 		rel := db.Lookup(pred)
 		for i := 0; i < rel.Len(); i++ {
+			if rel.Dead(i) {
+				continue
+			}
 			row = rel.AppendRowAt(row[:0], i)
 			args := make([]ast.Term, len(row))
 			for j, id := range row {
@@ -472,7 +478,7 @@ func cmdRecover(args []string) error {
 	defer h.Close()
 	for _, pred := range h.DB().Preds() {
 		fmt.Printf("relation:          %s: %d rows (%d base)\n",
-			pred, h.DB().Lookup(pred).Len(), baseLen(h.Base(), pred))
+			pred, h.DB().Lookup(pred).LiveLen(), baseLen(h.Base(), pred))
 	}
 	if !*verify {
 		return nil
@@ -494,7 +500,7 @@ func cmdRecover(args []string) error {
 // baseLen returns the base relation's row count, 0 when absent.
 func baseLen(base *database.DB, pred string) int {
 	if r := base.Lookup(pred); r != nil {
-		return r.Len()
+		return r.LiveLen()
 	}
 	return 0
 }

@@ -252,6 +252,44 @@ func TestCmdEvalDurable(t *testing.T) {
 	}
 }
 
+// TestCmdEvalDurableProgramChange: a store checkpointed under one
+// program and reopened under another must answer for the program it is
+// opened with. -optimize swaps Π₁ for its proven-equivalent unfolding,
+// so the answers after the retract must be those of a fresh run over
+// the remaining base; support counts carried over from the first
+// program would keep buys(t1, x) and buys(t2, x) alive.
+func TestCmdEvalDurableProgramChange(t *testing.T) {
+	dir := t.TempDir()
+	prog := filepath.Join("..", "..", "testdata", "trendy.dl")
+	db := write(t, dir, "f.dl", "likes(a, x). likes(b, y). trendy(t1). trendy(t2).")
+	store := filepath.Join(dir, "store")
+	if _, err := captureStdout(t, func() error {
+		return cmdEval([]string{"-program", prog, "-db", db, "-data", store, "-checkpoint", "-goal", "buys"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var out string
+	err := withStdin(t, "-likes(a, x).\n", func() error {
+		var err error
+		out, err = captureStdout(t, func() error {
+			return cmdEval([]string{"-program", prog, "-data", store, "-optimize", "-goal", "buys", "-watch"})
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "buys(") {
+			got = append(got, l)
+		}
+	}
+	if want := "buys(b, y). buys(t1, y). buys(t2, y)."; strings.Join(got, " ") != want {
+		t.Fatalf("goal rows after the retract = %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
 // withStdin runs fn with os.Stdin reading input.
 func withStdin(t *testing.T, input string, fn func() error) error {
 	t.Helper()

@@ -135,7 +135,7 @@ func verifyOptimized(orig, optimized *ast.Program, goal string) error {
 // relEqual compares two possibly-nil relations; nil means empty.
 func relEqual(a, b *database.Relation) bool {
 	if a == nil || b == nil {
-		return (a == nil || a.Len() == 0) && (b == nil || b.Len() == 0)
+		return (a == nil || a.LiveLen() == 0) && (b == nil || b.LiveLen() == 0)
 	}
 	return a.Equal(b)
 }

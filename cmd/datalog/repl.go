@@ -245,6 +245,9 @@ func (s *session) check(goal string) string {
 		rel := s.facts.Lookup(pred)
 		var row database.Row
 		for i := 0; i < rel.Len(); i++ {
+			if rel.Dead(i) {
+				continue
+			}
 			row = rel.AppendRowAt(row[:0], i)
 			args := make([]ast.Term, len(row))
 			for j, id := range row {
@@ -405,9 +408,7 @@ func (s *session) retractFact(a ast.Atom) {
 	if id < 0 {
 		return
 	}
-	marks := make([]uint8, rel.Len())
-	marks[id] = 1
-	rel.DeleteRowsMarked(marks, 1)
+	rel.DeleteRowsMarked([]int32{id})
 }
 
 // buildQuery compiles a query body into a fresh query rule whose head

@@ -8,8 +8,11 @@
 // that restores the state runs off the clock), "insert" times putting
 // it back, and "scratch" is the from-scratch re-fixpoint an engine
 // without maintenance would pay per update — the baseline the delta
-// paths are measured against. Pipe the output through cmd/benchjson to
-// produce the BENCH_PR8.json trajectory file.
+// paths are measured against. The forest families retract one edge of
+// a forest of chains, the shape the served workloads maintain, at two
+// sizes: a retract's cost must follow the rows it removes, not the
+// size of the forest. Pipe the output through cmd/benchjson to produce
+// the BENCH_PR8.json trajectory file.
 package datalogeq_test
 
 import (
@@ -195,5 +198,46 @@ func BenchmarkIncremental(b *testing.B) {
 			b.ReportMetric(float64(stats.Derived), "derived")
 			b.ReportMetric(float64(stats.Firings), "firings")
 		})
+	}
+
+	// Forest families: chains of 20 edges, at 50 and 2000 chains (10.5k
+	// and 420k tc rows). "tip" retracts a chain's last edge (21 rows out:
+	// the edge and 20 tc rows), "cut" its middle edge (111 rows out); the
+	// edge goes back off the clock. Successive iterations walk the chains, so each retract
+	// meets its chain's rows where the initial fixpoint laid them out.
+	for _, chains := range []int{50, 2000} {
+		db := gen.ForestGraph(chains, 20)
+		for _, op := range []struct {
+			name string
+			from int
+		}{{"tip", 19}, {"cut", 9}} {
+			facts := make([][]ast.Atom, chains)
+			for c := range facts {
+				facts[c] = parser.MustAtomList(fmt.Sprintf("e(c%dn%d, c%dn%d)", c, op.from, c, op.from+1))
+			}
+			b.Run(fmt.Sprintf("forest%dx20/%s/retract", chains, op.name), func(b *testing.B) {
+				h, _, err := eval.Maintain(tc, db, eval.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var last eval.UpdateStats
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f := facts[i%chains]
+					us, err := h.Retract(f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					last = us
+					b.StopTimer()
+					if _, err := h.Insert(f); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(last.RowsDeleted), "rows-out")
+			})
+		}
 	}
 }

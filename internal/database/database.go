@@ -98,13 +98,23 @@ func (s *StorageStats) add(t StorageStats) {
 // Tuples live as rows of interned IDs in per-column slabs; row IDs are
 // dense insertion indices, which delta-window evaluation relies on.
 //
+// Deleted rows are tombstones (counts.go): they keep their slab slot
+// until the relation compacts, so Len is the slab bound — the range of
+// row IDs and of delta windows — and LiveLen the number of tuples the
+// relation holds. Every reader that walks rows by ID, or through a
+// posting list from Match or Probe, skips rows for which Dead reports
+// true. HasDead lets a hot loop pay that check once per call while the
+// relation has no tombstones, which is always the case for relations
+// nothing deletes from, such as evaluation's.
+//
 // Concurrency contract: a Relation alternates between two phases.
 //
 //   - Read phase: any number of goroutines may call the pure readers —
-//     Len, Arity, At, Column, AppendRowAt, RowAt, ContainsRow, Probe —
-//     concurrently. Nothing may mutate the relation (no Add/AddRow, no
-//     Match or EnsureIndex that would build an index, no Tuples, no
-//     Contains/Equal, which reuse internal scratch space).
+//     Len, LiveLen, Dead, HasDead, Arity, At, Column, AppendRowAt,
+//     RowAt, ContainsRow, Probe, Clone — concurrently. Nothing may
+//     mutate the relation (no Add/AddRow, no Match or EnsureIndex that
+//     would build an index, no Tuples, no Contains/Equal, which reuse
+//     internal scratch space).
 //   - Write phase: exactly one goroutine mutates; no concurrent readers.
 //
 // The parallel evaluator enforces this with a round barrier: workers
@@ -117,18 +127,23 @@ type Relation struct {
 	n     int
 	cols  [][]uint32
 	set   rowSet
+	// dead is the tombstone bitmap (bit i set: row i is deleted),
+	// allocated by the first deletion and dropped by compaction; ndead
+	// counts its set bits.
+	dead  []uint64
+	ndead int
 	// indexes maps a column bitmask to its persistent index.
 	indexes map[uint64]*relIndex
 	// counts, when non-nil, is the per-row derivation-count column used
 	// by incremental view maintenance (counts.go). Kept aligned with the
 	// slab: AddRow appends a zero for each new row.
 	counts []int32
-	// strs lazily materializes rows for the string-facing Tuples().
+	// strs lazily materializes the live rows below slab row strsN for
+	// the string-facing Tuples().
 	strs    []Tuple
+	strsN   int
 	scratch Row
-	// newIDBuf is DeleteRowsMarked's reusable old-ID → new-ID map.
-	newIDBuf []int32
-	stats    StorageStats
+	stats   StorageStats
 	// writing asserts the concurrency contract above: set while AddRow
 	// mutates, checked by Probe.
 	writing atomic.Bool
@@ -142,8 +157,32 @@ func NewRelation(arity int) *Relation {
 // Arity returns the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
 
-// Len returns the number of tuples.
+// Len returns the slab length: one past the largest row ID, dead rows
+// included. Delta windows and row-ID loops use it; LiveLen counts the
+// tuples.
 func (r *Relation) Len() int { return r.n }
+
+// LiveLen returns the number of tuples: the slab length minus the dead
+// rows.
+func (r *Relation) LiveLen() int { return r.n - r.ndead }
+
+// HasDead reports whether any row of the slab is a tombstone.
+func (r *Relation) HasDead() bool { return r.ndead != 0 }
+
+// Dead reports whether row i is a tombstone, deleted but not yet
+// compacted away. It is a pure read, safe during a read phase.
+func (r *Relation) Dead(i int) bool {
+	return r.ndead != 0 && i>>6 < len(r.dead) && r.dead[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// hashAt hashes slab row i exactly as hashRow hashes the same row.
+func (r *Relation) hashAt(i int) uint64 {
+	h := hashSeed
+	for c := range r.cols {
+		h = hashID(h, r.cols[c][i])
+	}
+	return h
+}
 
 // rowEqual compares slab row i to a probe row of the same arity.
 func (r *Relation) rowEqual(i int, row Row) bool {
@@ -189,7 +228,7 @@ func (r *Relation) AddRow(row Row) bool {
 	if r.counts != nil {
 		r.counts = append(r.counts, 0)
 	}
-	r.set.insert(id, h)
+	r.set.insert(r, id, h)
 	for _, idx := range r.indexes {
 		r.scratch = idx.add(r, id, r.scratch)
 		r.stats.IndexAppends++
@@ -224,7 +263,8 @@ func (r *Relation) ContainsRow(row Row) bool {
 	return r.set.lookup(r, row, hashRow(row)) >= 0
 }
 
-// RowAt returns row i as a fresh Row.
+// RowAt returns row i as a fresh Row. Like AppendRowAt, At and Column,
+// it reads the slab and so returns a dead row's values too.
 func (r *Relation) RowAt(i int) Row {
 	return r.AppendRowAt(nil, i)
 }
@@ -245,20 +285,24 @@ func (r *Relation) At(i, c int) uint32 { return r.cols[c][i] }
 // modify it.
 func (r *Relation) Column(c int) []uint32 { return r.cols[c] }
 
-// Tuples returns the tuples in insertion order, materialized as strings.
-// The returned slice is shared and extended lazily as rows are added;
-// callers must not modify it.
+// Tuples returns the live tuples in insertion order, materialized as
+// strings. The returned slice is shared and extended lazily as rows are
+// added; callers must not modify it.
 func (r *Relation) Tuples() []Tuple {
-	for i := len(r.strs); i < r.n; i++ {
-		r.strs = append(r.strs, r.RowAt(i).Tuple())
+	for i := r.strsN; i < r.n; i++ {
+		if !r.Dead(i) {
+			r.strs = append(r.strs, r.RowAt(i).Tuple())
+		}
 	}
+	r.strsN = r.n
 	return r.strs
 }
 
 // Match returns the IDs of rows in [lo, hi) whose values at the columns
-// of mask (bit c set = column c) equal key, in ascending row order. It
-// is served by the relation's persistent index for mask, building it on
-// first use; mask must be nonzero and the arity at most 64. The
+// of mask (bit c set = column c) equal key, in ascending row order,
+// dead rows included: callers skip those for which Dead reports true.
+// It is served by the relation's persistent index for mask, building it
+// on first use; mask must be nonzero and the arity at most 64. The
 // returned slice aliases the index; callers must not modify it.
 func (r *Relation) Match(mask uint64, key Row, lo, hi int) []int32 {
 	idx := r.indexFor(mask)
@@ -280,7 +324,7 @@ func (r *Relation) indexFor(mask uint64) *relIndex {
 		}
 	}
 	idx := &relIndex{cols: cols}
-	r.scratch = idx.build(r, r.scratch)
+	r.scratch = idx.build(r, r.scratch, false)
 	if r.indexes == nil {
 		r.indexes = make(map[uint64]*relIndex)
 	}
@@ -319,12 +363,13 @@ func (r *Relation) IndexCard(mask uint64) (distinct int, ok bool) {
 }
 
 // Probe returns the IDs of rows in [lo, hi) whose values at the columns
-// of mask equal key, exactly like Match, but as a pure read: it never
-// builds an index (ok reports whether one exists) and never touches the
-// relation's counters or scratch space, so any number of goroutines may
-// Probe concurrently during a read phase. Callers count their own hits
-// and fold them in later via AddIndexHits. The returned slice aliases
-// the index; callers must not modify it.
+// of mask equal key, dead rows included, exactly like Match, but as a
+// pure read: it never builds an index (ok reports whether one exists)
+// and never touches the relation's counters or scratch space, so any
+// number of goroutines may Probe concurrently during a read phase.
+// Callers count their own hits and fold them in later via
+// AddIndexHits. The returned slice aliases the index; callers must not
+// modify it.
 func (r *Relation) Probe(mask uint64, key Row, lo, hi int) (rows []int32, ok bool) {
 	if r.writing.Load() {
 		//repolint:allow panic — invariant: the evaluator's round barrier separates probes from writes; a trip here is a scheduler bug, not user input.
@@ -350,39 +395,50 @@ func (r *Relation) Stats() StorageStats {
 	for _, col := range r.cols {
 		s.SlabBytes += 4 * int64(cap(col))
 	}
-	s.Rows = r.n
+	s.Rows = r.LiveLen()
 	return s
 }
 
-// Clone returns a deep copy of the relation. Indexes are not copied;
-// they rebuild lazily on first use in the clone.
+// Clone returns a deep copy of the relation's live rows, compacted: the
+// clone has no tombstones. Indexes are not copied; they rebuild lazily
+// on first use in the clone. It only reads r, so it is safe during a
+// read phase.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.arity)
 	out.n = r.n
-	for c := range r.cols {
-		out.cols[c] = append([]uint32(nil), r.cols[c]...)
+	if r.ndead != 0 {
+		// Compaction only reads the slabs it replaces, so the clone
+		// starts out sharing r's and ends up with fresh ones.
+		copy(out.cols, r.cols)
+		out.counts, out.dead, out.ndead = r.counts, r.dead, r.ndead
+		out.compact(false)
+	} else {
+		for c := range r.cols {
+			out.cols[c] = append([]uint32(nil), r.cols[c]...)
+		}
+		if r.counts != nil {
+			out.counts = append([]int32(nil), r.counts...)
+		}
+		out.set = rowSet{table: append([]int32(nil), r.set.table...), n: r.set.n}
 	}
-	out.set = rowSet{
-		table:  append([]int32(nil), r.set.table...),
-		hashes: append([]uint64(nil), r.set.hashes...),
-		n:      r.set.n,
-	}
-	if r.counts != nil {
-		out.counts = append([]int32(nil), r.counts...)
-	}
-	// Share the immutable materialized prefix; the capacity cap forces
-	// copy-on-append so clones never write into each other.
+	// Share the immutable materialized prefix: it is the clone's first
+	// rows, since the clone keeps the live rows in order. The capacity
+	// cap forces copy-on-append so clones never write into each other.
 	out.strs = r.strs[:len(r.strs):len(r.strs)]
+	out.strsN = len(r.strs)
 	return out
 }
 
 // Equal reports whether two relations hold exactly the same tuples.
 func (r *Relation) Equal(s *Relation) bool {
-	if r.arity != s.arity || r.n != s.n {
+	if r.arity != s.arity || r.LiveLen() != s.LiveLen() {
 		return false
 	}
 	row := r.scratch[:0]
 	for i := 0; i < r.n; i++ {
+		if r.Dead(i) {
+			continue
+		}
 		row = r.AppendRowAt(row[:0], i)
 		if !s.ContainsRow(row) {
 			return false
@@ -475,7 +531,7 @@ func (d *DB) Preds() []string {
 func (d *DB) FactCount() int {
 	n := 0
 	for _, r := range d.relations {
-		n += r.Len()
+		n += r.LiveLen()
 	}
 	return n
 }
@@ -490,23 +546,24 @@ func (d *DB) StorageStats() StorageStats {
 }
 
 // StatsEpoch returns a fingerprint of the database's planning-relevant
-// statistics: the number of relations, plus each relation's row count
-// rounded to its power of two and its number of persistent indexes. It
-// grows when a relation is created, crosses a power-of-two row count
-// upwards, or gains an index, and it falls when DeleteRowsMarked
-// shrinks a relation below a power of two — so it is not monotone, and
-// planners compare epochs only for equality. Query planners key plan
-// caches on it: while the epoch is unchanged, every cardinality a cost
-// model would read (relation lengths to within 2×, index posting-list
-// counts) is close enough that replanning cannot improve the plan. It
-// is computed on demand from the store, so it needs no bump discipline
-// at write sites; call it only from a write phase or a round boundary
-// (it reads lengths and index maps that a concurrent writer would
-// mutate).
+// statistics: the number of relations, plus each relation's live row
+// count (LiveLen, not the slab length, so tombstones and compaction
+// leave it alone) rounded to its power of two and its number of
+// persistent indexes. It grows when a relation is created, crosses a
+// power-of-two row count upwards, or gains an index, and it falls when
+// DeleteRowsMarked shrinks a relation below a power of two — so it is
+// not monotone, and planners compare epochs only for equality. Query
+// planners key plan caches on it: while the epoch is unchanged, every
+// cardinality a cost model would read (relation lengths to within 2×,
+// index posting-list counts) is close enough that replanning cannot
+// improve the plan. It is computed on demand from the store, so it
+// needs no bump discipline at write sites; call it only from a write
+// phase or a round boundary (it reads lengths and index maps that a
+// concurrent writer would mutate).
 func (d *DB) StatsEpoch() uint64 {
 	e := uint64(len(d.relations))
 	for _, r := range d.relations {
-		e += uint64(bits.Len(uint(r.n))) + uint64(len(r.indexes))
+		e += uint64(bits.Len(uint(r.LiveLen()))) + uint64(len(r.indexes))
 	}
 	return e
 }
@@ -524,7 +581,7 @@ func (d *DB) Clone() *DB {
 // ignoring empty relations.
 func (d *DB) Equal(e *DB) bool {
 	for p, r := range d.relations {
-		if r.Len() == 0 {
+		if r.LiveLen() == 0 {
 			continue
 		}
 		s := e.relations[p]
@@ -533,7 +590,7 @@ func (d *DB) Equal(e *DB) bool {
 		}
 	}
 	for p, s := range e.relations {
-		if s.Len() == 0 {
+		if s.LiveLen() == 0 {
 			continue
 		}
 		r := d.relations[p]
@@ -551,8 +608,8 @@ func (d *DB) DomainIDs() []uint32 {
 	var out []uint32
 	for _, r := range d.relations {
 		for _, col := range r.cols {
-			for _, id := range col {
-				if !seen[id] {
+			for i, id := range col {
+				if !seen[id] && !r.Dead(i) {
 					seen[id] = true
 					out = append(out, id)
 				}

@@ -88,7 +88,16 @@ type Durable struct {
 	// kill -9 still recognizes every acknowledged (client, seq) pair and
 	// never double-applies a retried mutation.
 	clients map[string]uint64
+
+	// snapIdentity is the identity recorded with the snapshot Open
+	// loaded ("" for none); identity is the one later snapshots record.
+	snapIdentity, identity string
 }
+
+// identityMagic marks a snapshot payload that records an identity
+// string right after its sequence number. Payloads written before
+// identities existed lack it and decode with the empty identity.
+var identityMagic = []byte("DLID1\x00")
 
 // Open opens (creating if needed) the durable store in dir and
 // recovers its on-disk state: the newest decodable snapshot is loaded,
@@ -118,7 +127,11 @@ func Open(dir string, opts OpenOptions) (*Durable, error) {
 		if n <= 0 {
 			continue
 		}
-		clients, rest, cerr := decodeClientTable(payload[n:])
+		identity, rest, ierr := decodeIdentity(payload[n:])
+		if ierr != nil {
+			continue
+		}
+		clients, rest, cerr := decodeClientTable(rest)
 		if cerr != nil {
 			continue
 		}
@@ -126,7 +139,7 @@ func Open(dir string, opts OpenOptions) (*Durable, error) {
 		if derr != nil {
 			continue
 		}
-		d.gen, d.snapSeq, d.snapState = gens[i], seq, dbs
+		d.gen, d.snapSeq, d.snapState, d.snapIdentity = gens[i], seq, dbs, identity
 		for c, s := range clients {
 			d.clients[c] = s
 		}
@@ -173,6 +186,17 @@ func (d *Durable) Fresh() bool { return d.snapState == nil && len(d.tail) == 0 }
 // snapshot at Open, or nil for a store with no snapshot yet. The
 // caller takes ownership.
 func (d *Durable) SnapshotState() []*DB { return d.snapState }
+
+// SnapshotIdentity returns the identity recorded with the snapshot
+// loaded at Open: what the writer passed to SetIdentity, or "" for a
+// store with no snapshot or a snapshot written without one.
+func (d *Durable) SnapshotIdentity() string { return d.snapIdentity }
+
+// SetIdentity sets the identity every later snapshot records. The store
+// treats it as opaque; the maintenance layer records which program the
+// snapshot's derived state belongs to, so that reopening under another
+// program can tell the state does not fit.
+func (d *Durable) SetIdentity(id string) { d.identity = id }
 
 // Tail returns the committed batches recovered from the WAL at Open,
 // in commit order; the caller replays them on top of SnapshotState.
@@ -262,9 +286,12 @@ func (d *Durable) ShouldSnapshot() bool {
 // generation and truncates the log: snap-<g+1> lands atomically, the
 // empty wal-<g+1> is started, and generation g is removed. A crash
 // between any two steps leaves a state Open repairs. dbs must reflect
-// every batch committed so far (it is stamped with Seq).
+// every batch committed so far (it is stamped with Seq, and with the
+// identity last passed to SetIdentity).
 func (d *Durable) Snapshot(dbs []*DB) error {
 	payload := binary.AppendUvarint(nil, d.seq)
+	payload = append(payload, identityMagic...)
+	payload = appendString(payload, d.identity)
 	payload = appendClientTable(payload, d.clients)
 	payload = append(payload, EncodeSnapshot(dbs)...)
 	if err := d.meter.Charge("durable/snapshot", guard.Bytes, int64(len(payload))); err != nil {
@@ -313,6 +340,21 @@ func appendClientTable(buf []byte, clients map[string]uint64) []byte {
 		buf = binary.AppendUvarint(buf, clients[c])
 	}
 	return buf
+}
+
+// decodeIdentity parses the identity from the head of a snapshot
+// payload (after the sequence number) and returns the rest. Payloads
+// written before identities existed decode as the empty identity.
+func decodeIdentity(data []byte) (string, []byte, error) {
+	if len(data) < len(identityMagic) || string(data[:len(identityMagic)]) != string(identityMagic) {
+		return "", data, nil
+	}
+	rd := &sreader{data: data, off: len(identityMagic)}
+	id := rd.str()
+	if rd.err != nil {
+		return "", nil, fmt.Errorf("database: snapshot identity: %w", rd.err)
+	}
+	return id, data[rd.off:], nil
 }
 
 // decodeClientTable parses the idempotency table from the head of a

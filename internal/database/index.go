@@ -9,15 +9,16 @@ import "sort"
 // IDs and compare probe rows against the slab directly, so neither
 // insertion nor lookup materializes a key object.
 
-// rowSet is the relation's dedup set: a linear-probe table of row IDs
-// with per-row hashes kept for cheap resize.
+// rowSet is the relation's dedup set: a linear-probe table of the IDs
+// of its live rows. It stores no hashes: lookups compare probe rows
+// against the slab, and growing, rebuilding and deleting rehash rows
+// from the slab.
 type rowSet struct {
-	table  []int32 // rowID + 1; 0 = empty
-	hashes []uint64
-	n      int
+	table []int32 // rowID + 1; 0 = empty
+	n     int
 }
 
-// lookup returns the row ID holding r, or -1.
+// lookup returns the live row ID holding r, or -1.
 func (s *rowSet) lookup(rel *Relation, r Row, h uint64) int32 {
 	if len(s.table) == 0 {
 		return -1
@@ -28,20 +29,18 @@ func (s *rowSet) lookup(rel *Relation, r Row, h uint64) int32 {
 		if slot == 0 {
 			return -1
 		}
-		id := slot - 1
-		if s.hashes[id] == h && rel.rowEqual(int(id), r) {
-			return id
+		if rel.rowEqual(int(slot-1), r) {
+			return slot - 1
 		}
 	}
 }
 
-// insert records that row ID id (already appended to the slab) hashes
-// to h. The caller has checked the row is absent.
-func (s *rowSet) insert(id int32, h uint64) {
+// insert records that row ID id, the last row of the slab, hashes to
+// h. The caller has checked the row is absent.
+func (s *rowSet) insert(rel *Relation, id int32, h uint64) {
 	if 4*(s.n+1) > 3*len(s.table) {
-		s.grow()
+		s.rebuild(rel, int(id), max(16, 2*len(s.table)))
 	}
-	s.hashes = append(s.hashes, h)
 	s.place(id, h)
 	s.n++
 }
@@ -55,74 +54,61 @@ func (s *rowSet) place(id int32, h uint64) {
 	s.table[i] = id + 1
 }
 
-func (s *rowSet) grow() {
-	size := 2 * len(s.table)
-	if size < 16 {
-		size = 16
-	}
+// rebuild re-places the live rows below upto into a fresh table of the
+// given size, hashing each from the slab.
+func (s *rowSet) rebuild(rel *Relation, upto, size int) {
 	s.table = make([]int32, size)
-	for id := 0; id < s.n; id++ {
-		s.place(int32(id), s.hashes[id])
+	s.n = 0
+	for id := 0; id < upto; id++ {
+		if !rel.Dead(id) {
+			s.place(int32(id), rel.hashAt(id))
+			s.n++
+		}
 	}
 }
 
-// remap rewrites the set after an order-preserving compaction: row IDs
-// in [first, oldN) shift or die per newID, earlier IDs are untouched.
-// Because row hashes do not change, a surviving entry's probe position
-// is already correct, so only the affected IDs' slots are visited: each
-// is located by probing from its stored hash (cost proportional to the
-// rows that moved, not the table), renumbered or cleared, and each
-// cleared hole's following probe cluster is re-homed (classic
-// linear-probe deletion) so no survivor is stranded behind an empty
-// slot. The hash array is compacted alongside. No row is rehashed.
-func (s *rowSet) remap(newID []int32, first, oldN, w int) {
-	mask := uint64(len(s.table) - 1)
-	var slotBuf [256]int32
-	slots := slotBuf[:0]
-	// Locate before mutating: clearing a slot would break the probe
-	// chains later lookups walk.
-	for id := first; id < oldN; id++ {
-		j := s.hashes[id] & mask
-		for s.table[j] != int32(id)+1 {
-			j = (j + 1) & mask
-		}
-		slots = append(slots, int32(j))
+// remove deletes live row id from the set by backward-shift deletion:
+// after the hole opens, each later entry of its probe cluster whose
+// home slot does not lie cyclically after the hole moves back into it,
+// so no lookup is ever stranded behind an empty slot. The cost is the
+// length of one cluster, never the table.
+func (s *rowSet) remove(rel *Relation, id int32) {
+	mask := len(s.table) - 1
+	i := int(rel.hashAt(int(id))) & mask
+	for s.table[i] != id+1 {
+		i = (i + 1) & mask
 	}
-	var holeBuf [64]int32
-	holes := holeBuf[:0]
-	for k, id := 0, first; id < oldN; k, id = k+1, id+1 {
-		j := slots[k]
-		if nid := newID[id]; nid >= 0 {
-			s.table[j] = nid + 1
-		} else {
-			s.table[j] = 0
-			holes = append(holes, j)
+	for j := (i + 1) & mask; s.table[j] != 0; j = (j + 1) & mask {
+		home := int(rel.hashAt(int(s.table[j]-1))) & mask
+		// The entry at j may fill the hole at i iff i lies on its probe
+		// path [home, j].
+		if (j-home)&mask >= (j-i)&mask {
+			s.table[i] = s.table[j]
+			i = j
 		}
 	}
-	for id := first; id < oldN; id++ {
-		if nid := newID[id]; nid >= 0 {
-			s.hashes[nid] = s.hashes[id]
-		}
+	s.table[i] = 0
+	s.n--
+}
+
+// tableSize returns the table size incremental inserts reach after n
+// entries: the smallest power of two, at least 16, holding n at 3/4
+// load.
+func tableSize(n int) int {
+	size := 16
+	for 4*n > 3*size {
+		size *= 2
 	}
-	s.hashes = s.hashes[:w]
-	s.n = w
-	m := len(s.table) - 1
-	// Every hole's following cluster is re-homed, even when a repair
-	// has already refilled the hole: an earlier hole's walk may have
-	// stopped there while it was still empty.
-	for _, hi := range holes {
-		for j := (int(hi) + 1) & m; s.table[j] != 0; j = (j + 1) & m {
-			id := s.table[j] - 1
-			s.table[j] = 0
-			s.place(id, s.hashes[id])
-		}
-	}
+	return size
 }
 
 // relIndex is a persistent hash index of a relation on the column set
 // cols: projection key → ascending row IDs. It is built once by a full
 // scan and thereafter maintained incrementally — every AddRow appends
 // the new row ID to its posting list, so fixpoint rounds never rebuild.
+// Deletion leaves the postings alone: a deleted row's ID stays in its
+// list, and readers skip it through the relation's tombstone bitmap,
+// until compaction rebuilds the index over the survivors.
 type relIndex struct {
 	cols    []int
 	table   []int32 // entry index + 1; 0 = empty
@@ -203,14 +189,17 @@ func (idx *relIndex) add(rel *Relation, id int32, scratch Row) Row {
 // Pass 1 maps every row to the first row sharing its key, through a
 // scratch linear-probe table of those first rows that doubles at the
 // same 3/4 load as the index table. Once the key count is known, the
-// entries are allocated exactly and placed in first-occurrence order
-// into a table of the size incremental adds would have grown, which
-// yields the very entry order and table layout of an index grown row by
-// row. Pass 2 counting-sorts the row IDs by entry into one slab and
-// carves each posting list from it with capacity equal to its length:
-// postings stay ascending, and a later append reallocates only that
-// key's list instead of writing into its neighbour's.
-func (idx *relIndex) build(rel *Relation, scratch Row) Row {
+// entries are allocated and placed in first-occurrence order into a
+// table of the size incremental adds would have grown, which yields the
+// very entry order and table layout of an index grown row by row. Pass
+// 2 counting-sorts the row IDs by entry into one slab and carves each
+// posting list from it: postings stay ascending, and each list's
+// capacity ends where its neighbour's begins, so a later append
+// reallocates only that key's list instead of writing into its
+// neighbour's. Without spare each list's capacity is its length; with
+// spare (compaction), every list keeps room for the growth the next
+// compaction allows.
+func (idx *relIndex) build(rel *Relation, scratch Row, spare bool) Row {
 	n := rel.n
 	// entryOf holds each row's first row with the same key, then its
 	// entry index.
@@ -233,6 +222,12 @@ func (idx *relIndex) build(rel *Relation, scratch Row) Row {
 		}
 		entryOf[i] = firsts[j] - 1
 	}
+	// Room is spareRoom, plus one slot per list so that short lists,
+	// which spareRoom rounds down to nothing, can take an append too.
+	room := func(int) int { return 0 }
+	if spare {
+		room = func(c int) int { return spareRoom(c) + 1 }
+	}
 	idx.presize(keys)
 	for i := 0; i < n; i++ {
 		if f := entryOf[i]; f < int32(i) {
@@ -245,27 +240,26 @@ func (idx *relIndex) build(rel *Relation, scratch Row) Row {
 		idx.entries = append(idx.entries, idxEntry{hash: h})
 		idx.place(entryOf[i], h)
 	}
-	// Counting sort: at[e] starts one past entry e's postings; filling
-	// backwards in row order leaves it at their first slab offset.
-	slab := make([]int32, n)
-	at := make([]int32, keys)
+	// Counting sort: entry e's postings fill slab[at[e]:] in row order,
+	// followed by its room; at[e] ends one past its postings.
+	count := make([]int32, keys)
 	for _, e := range entryOf {
+		count[e]++
+	}
+	at := make([]int32, keys)
+	total := 0
+	for e, c := range count {
+		at[e] = int32(total)
+		total += int(c) + room(int(c))
+	}
+	slab := make([]int32, total)
+	for i, e := range entryOf {
+		slab[at[e]] = int32(i)
 		at[e]++
 	}
-	for e := 1; e < keys; e++ {
-		at[e] += at[e-1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		e := entryOf[i]
-		at[e]--
-		slab[at[e]] = int32(i)
-	}
 	for e := range idx.entries {
-		hi := int32(n)
-		if e+1 < keys {
-			hi = at[e+1]
-		}
-		idx.entries[e].rows = slab[at[e]:hi:hi]
+		end := int(at[e])
+		idx.entries[e].rows = slab[end-int(count[e]) : end : end+room(int(count[e]))]
 	}
 	return scratch
 }
@@ -296,11 +290,7 @@ func (idx *relIndex) presize(n int) {
 	if n == 0 {
 		return
 	}
-	size := 16
-	for 4*n > 3*size {
-		size *= 2
-	}
-	idx.table = make([]int32, size)
+	idx.table = make([]int32, tableSize(n))
 	idx.entries = make([]idxEntry, 0, n)
 }
 
@@ -321,54 +311,6 @@ func (idx *relIndex) grow() {
 	idx.table = make([]int32, size)
 	for e := range idx.entries {
 		idx.place(int32(e), idx.entries[e].hash)
-	}
-}
-
-// remap rewrites the index after an order-preserving compaction of its
-// relation: each posting list is filtered and renumbered through newID
-// (old row ID → new row ID, -1 = deleted; identity below first) —
-// order preservation keeps the lists ascending, and ascending order
-// means postings below first need no visit at all — entries whose
-// lists empty out are dropped, and only then is the table re-placed
-// from the entries' stored key hashes. No row is projected or rehashed.
-func (idx *relIndex) remap(newID []int32, first int) {
-	emptied := 0
-	for ei := range idx.entries {
-		e := &idx.entries[ei]
-		rows := e.rows
-		a := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= first })
-		if a == len(rows) {
-			continue
-		}
-		w := a
-		for _, rid := range rows[a:] {
-			if nid := newID[rid]; nid >= 0 {
-				rows[w] = nid
-				w++
-			}
-		}
-		e.rows = rows[:w]
-		if w == 0 {
-			emptied++
-		}
-	}
-	if emptied == 0 {
-		// Every key survived: entry indices are unchanged, so the table
-		// is already correct.
-		return
-	}
-	live := idx.entries[:0]
-	for ei := range idx.entries {
-		if len(idx.entries[ei].rows) > 0 {
-			live = append(live, idx.entries[ei])
-		}
-	}
-	idx.entries = live
-	for i := range idx.table {
-		idx.table[i] = 0
-	}
-	for ei := range idx.entries {
-		idx.place(int32(ei), idx.entries[ei].hash)
 	}
 }
 

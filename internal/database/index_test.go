@@ -156,20 +156,122 @@ func TestIndexBuildMatchesIncremental(t *testing.T) {
 					sameIndexes(t, built, grown, masks)
 					probesMatchScan(t, built, masks, absent)
 
-					dead := make([]uint8, built.Len())
-					for i := range dead {
-						if g.rng.Intn(4) == 0 {
-							dead[i] = 1
-						}
+					// Tombstones below the compaction share: postings keep
+					// the dead IDs, and an index built by a full scan now
+					// must still equal the add-grown one.
+					n, ndead := built.Len(), built.Len()-built.LiveLen()
+					ids := liveSample(g.rng, built, (n/compactShare-ndead)/2)
+					built.DeleteRowsMarked(ids)
+					grown.DeleteRowsMarked(ids)
+					if n > compactSmall && (built.Len() != n || !built.HasDead()) {
+						t.Fatalf("%d deletions of %d rows compacted below the share", len(ids), n)
 					}
-					built.DeleteRowsMarked(dead, 1)
-					grown.DeleteRowsMarked(dead, 1)
 					sameIndexes(t, built, grown, masks)
 					probesMatchScan(t, built, masks, absent)
+					liveRowsFound(t, built)
+					for _, m := range masks {
+						delete(built.indexes, m)
+						built.EnsureIndex(m)
+					}
+					sameIndexes(t, built, grown, masks)
+
+					// Past the share: the deletion compacts, leaving no
+					// tombstone and every index rebuilt over the survivors.
+					ids = liveSample(g.rng, built, built.LiveLen()/2)
+					built.DeleteRowsMarked(ids)
+					grown.DeleteRowsMarked(ids)
+					if built.HasDead() || built.Len() != built.LiveLen() {
+						t.Fatalf("deleting half the rows left %d tombstones", built.Len()-built.LiveLen())
+					}
+					sameIndexes(t, built, grown, masks)
+					probesMatchScan(t, built, masks, absent)
+					liveRowsFound(t, built)
 				}
 			})
 		}
 	}
+}
+
+// liveSample returns k distinct live row IDs of r drawn at random, in
+// random order (fewer if r has fewer live rows).
+func liveSample(rng *rand.Rand, r *Relation, k int) []int32 {
+	var live []int32
+	for i := 0; i < r.Len(); i++ {
+		if !r.Dead(i) {
+			live = append(live, int32(i))
+		}
+	}
+	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	return live[:min(k, len(live))]
+}
+
+// liveRowsFound fails unless the dedup set finds every live row at its
+// own ID and no dead row at all.
+func liveRowsFound(t *testing.T, r *Relation) {
+	t.Helper()
+	for i := 0; i < r.Len(); i++ {
+		got := r.RowID(r.RowAt(i))
+		if r.Dead(i) && got >= 0 {
+			t.Fatalf("dead row %d found as row %d", i, got)
+		}
+		if !r.Dead(i) && got != int32(i) {
+			t.Fatalf("live row %d found as row %d", i, got)
+		}
+	}
+}
+
+// TestCompactionMatchesFreshBuild: a relation compacted by the deletion
+// trigger holds, row for row, what a relation freshly built from its
+// survivors holds — the same tuples in the same order, counts, row IDs,
+// and indexes identical entry for entry and slot for slot.
+func TestCompactionMatchesFreshBuild(t *testing.T) {
+	g := &indexGen{rng: rand.New(rand.NewSource(7)), arity: 3, heavy: true}
+	masks := allMasks(3)
+	r := NewRelation(3)
+	r.EnableCounts()
+	for _, m := range masks {
+		r.EnsureIndex(m)
+	}
+	for i := 0; i < 2000; i++ {
+		r.AddRow(g.row())
+		r.AddCountAt(i, int32(i))
+	}
+	// Tombstones first, then the deletion that trips compaction. The
+	// expected survivors are read off the slab in between.
+	r.DeleteRowsMarked(liveSample(g.rng, r, 2000/compactShare/2))
+	if !r.HasDead() {
+		t.Fatal("a deletion below the share compacted")
+	}
+	ids := liveSample(g.rng, r, 2000/compactShare)
+	dying := make(map[int32]bool)
+	for _, id := range ids {
+		dying[id] = true
+	}
+	want := NewRelation(3)
+	want.EnableCounts()
+	for i := 0; i < r.Len(); i++ {
+		if !r.Dead(i) && !dying[int32(i)] {
+			want.AddRow(r.RowAt(i))
+			want.AddCountAt(want.Len()-1, r.CountAt(i))
+		}
+	}
+	r.DeleteRowsMarked(ids)
+	if r.HasDead() {
+		t.Fatal("a deletion past the share left tombstones")
+	}
+	for _, m := range masks {
+		want.EnsureIndex(m)
+	}
+	if !r.Equal(want) || r.Len() != want.Len() {
+		t.Fatalf("compacted relation (%d rows) differs from a fresh build (%d rows)", r.Len(), want.Len())
+	}
+	for i := 0; i < r.Len(); i++ {
+		if !r.RowAt(i).Equal(want.RowAt(i)) || r.CountAt(i) != want.CountAt(i) {
+			t.Fatalf("row %d: %v count %d, fresh build %v count %d", i, r.RowAt(i), r.CountAt(i), want.RowAt(i), want.CountAt(i))
+		}
+	}
+	liveRowsFound(t, r)
+	sameIndexes(t, r, want, masks)
 }
 
 // BenchmarkIndexBuild times one full-scan index build at the size of a

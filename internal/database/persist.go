@@ -61,7 +61,9 @@ func (r *Relation) IndexMasks() []uint64 {
 // EncodeSnapshot serializes the shared interner table and the complete
 // engine state of dbs. Nil entries are preserved as nil on decode, so a
 // caller can snapshot a fixed-shape slice of stores some of which are
-// absent.
+// absent. Every relation with tombstones is compacted first, in place,
+// so a snapshot never holds a dead row and the decoded store equals the
+// writer's from this point on; call it only from a write phase.
 func EncodeSnapshot(dbs []*DB) []byte {
 	buf := append([]byte(nil), snapMagic...)
 	syms := *shared.syms.Load()
@@ -79,8 +81,10 @@ func EncodeSnapshot(dbs []*DB) []byte {
 		preds := d.Preds()
 		buf = binary.AppendUvarint(buf, uint64(len(preds)))
 		for _, p := range preds {
+			r := d.relations[p]
+			r.compact(true)
 			buf = appendString(buf, p)
-			buf = appendRelation(buf, d.relations[p])
+			buf = appendRelation(buf, r)
 		}
 	}
 	return buf
@@ -381,7 +385,7 @@ func (rd *sreader) relation(remap []uint32, identity bool) (*Relation, error) {
 		if r.set.lookup(r, row, h) >= 0 {
 			return nil, fmt.Errorf("database: snapshot relation holds duplicate row %d", i)
 		}
-		r.set.insert(int32(i), h)
+		r.set.insert(r, int32(i), h)
 	}
 	nidx := rd.count(1)
 	for k := 0; k < nidx; k++ {

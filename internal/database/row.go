@@ -55,12 +55,20 @@ func (r Row) Clone() Row {
 // hashRow is FNV-1a over the row's IDs, byte by byte. It is the single
 // hash function for slab dedup and index keys.
 func hashRow(r Row) uint64 {
-	h := uint64(14695981039346656037)
+	h := hashSeed
 	for _, id := range r {
-		h = (h ^ uint64(id&0xff)) * 1099511628211
-		h = (h ^ uint64((id>>8)&0xff)) * 1099511628211
-		h = (h ^ uint64((id>>16)&0xff)) * 1099511628211
-		h = (h ^ uint64(id>>24)) * 1099511628211
+		h = hashID(h, id)
 	}
 	return h
+}
+
+// hashSeed is the FNV-1a offset basis hashRow starts from.
+const hashSeed = uint64(14695981039346656037)
+
+// hashID folds one ID into an FNV-1a hash, byte by byte.
+func hashID(h uint64, id uint32) uint64 {
+	h = (h ^ uint64(id&0xff)) * 1099511628211
+	h = (h ^ uint64((id>>8)&0xff)) * 1099511628211
+	h = (h ^ uint64((id>>16)&0xff)) * 1099511628211
+	return (h ^ uint64(id>>24)) * 1099511628211
 }

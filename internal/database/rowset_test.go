@@ -4,106 +4,83 @@ import (
 	"testing"
 )
 
-// White-box tests of rowSet.remap's probe-chain repair, aimed at probe
-// clusters that wrap the end of the table: the classic linear-probe
-// deletion hazard is a survivor stranded behind a cleared hole, and
-// wrap-around plus multiple interacting holes (an earlier hole's repair
-// re-homing an entry into a later hole) is where a repair bug would
-// hide. Synthetic hashes pin each row's home slot exactly, so the
-// cluster geometry is chosen, not hoped for.
+// White-box tests of rowSet.remove, the dedup set's single-entry
+// backward-shift deletion, aimed at probe clusters that wrap the end of
+// the table: the classic linear-probe deletion hazard is a survivor
+// stranded behind a cleared hole, and wrap-around plus a sequence of
+// deletions (an earlier deletion's shift moving an entry that a later
+// one must find and shift again) is where a bug would hide. Each row's
+// value is chosen so that its hash lands on a given home slot, so the
+// cluster geometry is chosen, not hoped for. The test names are kept
+// from the remap-repair tests these replace, which covered the same
+// geometries.
 
-// wrapRel builds a 1-column relation whose slab holds value i at row i
-// (every row distinct), plus a 16-slot rowSet where row i's hash places
-// it at home homes[i]; high bits keep the hashes distinct per row.
-func wrapRel(homes []uint64) (*Relation, *rowSet) {
-	vals := make([]uint32, len(homes))
-	for i := range vals {
-		vals[i] = uint32(i + 1)
+// wrapRel builds a 1-column relation whose row i holds a distinct value
+// whose hash has home slot homes[i] in the dedup set's 16-slot table.
+// Values are raw IDs, never interned.
+func wrapRel(t *testing.T, homes []uint64) *Relation {
+	t.Helper()
+	rel := NewRelation(1)
+	v := uint32(1 << 24)
+	for _, home := range homes {
+		for hashRow(Row{v})&15 != home {
+			v++
+		}
+		rel.AddRow(Row{v})
+		v++
 	}
-	rel := &Relation{arity: 1, n: len(homes), cols: [][]uint32{vals}}
-	s := &rowSet{table: make([]int32, 16)}
-	for i, home := range homes {
-		h := home&15 | uint64(i+1)<<8
-		s.hashes = append(s.hashes, h)
-		s.place(int32(i), h)
-		s.n++
+	if len(rel.set.table) != 16 {
+		t.Fatalf("dedup table has %d slots, want 16", len(rel.set.table))
 	}
-	return rel, s
+	return rel
 }
 
-// deleteAndCheck compacts the slab and set exactly as DeleteRowsMarked would
-// (newID prefix-sum map, then remap) and verifies every survivor is
-// still reachable by probing from its home and every deleted row is
-// gone. It returns false (after t.Error) on any stranded survivor.
-func deleteAndCheck(t *testing.T, homes []uint64, dead map[int]bool) {
+// deleteAndCheck removes the rows of order from the dedup set, one at a
+// time in that order, and verifies every survivor is still reachable
+// by probing from its home, every deleted row is gone, and the table
+// holds each survivor exactly once.
+func deleteAndCheck(t *testing.T, homes []uint64, order []int) {
 	t.Helper()
-	rel, s := wrapRel(homes)
-	oldHashes := append([]uint64(nil), s.hashes...)
-	oldVals := append([]uint32(nil), rel.cols[0]...)
-	oldN := rel.n
-
-	first := -1
-	for i := 0; i < oldN; i++ {
-		if dead[i] {
-			first = i
-			break
-		}
+	rel := wrapRel(t, homes)
+	dead := make(map[int]bool)
+	for _, i := range order {
+		rel.set.remove(rel, int32(i))
+		dead[i] = true
 	}
-	if first < 0 {
-		t.Fatalf("no deletions in scenario %v / %v", homes, dead)
-	}
-	newID := make([]int32, oldN)
-	w := 0
-	for i := 0; i < oldN; i++ {
-		if dead[i] {
-			newID[i] = -1
-			continue
-		}
-		newID[i] = int32(w)
-		if w != i {
-			rel.cols[0][w] = rel.cols[0][i]
-		}
-		w++
-	}
-	rel.cols[0] = rel.cols[0][:w]
-	rel.n = w
-	s.remap(newID, first, oldN, w)
-
-	if s.n != w {
-		t.Fatalf("homes %v dead %v: set size %d, want %d", homes, dead, s.n, w)
+	if want := len(homes) - len(dead); rel.set.n != want {
+		t.Fatalf("homes %v order %v: set size %d, want %d", homes, order, rel.set.n, want)
 	}
 	seen := make(map[int32]bool)
-	for _, slot := range s.table {
+	for _, slot := range rel.set.table {
 		if slot == 0 {
 			continue
 		}
 		id := slot - 1
-		if id < 0 || int(id) >= w {
-			t.Fatalf("homes %v dead %v: table holds dead or out-of-range id %d", homes, dead, id)
+		if dead[int(id)] || int(id) >= len(homes) {
+			t.Fatalf("homes %v order %v: table holds dead or out-of-range id %d", homes, order, id)
 		}
 		if seen[id] {
-			t.Fatalf("homes %v dead %v: id %d appears twice in the table", homes, dead, id)
+			t.Fatalf("homes %v order %v: id %d appears twice in the table", homes, order, id)
 		}
 		seen[id] = true
 	}
-	for i := 0; i < oldN; i++ {
-		got := s.lookup(rel, Row{oldVals[i]}, oldHashes[i])
+	for i := range homes {
+		got := rel.set.lookup(rel, rel.RowAt(i), rel.hashAt(i))
 		if dead[i] {
 			if got >= 0 {
-				t.Errorf("homes %v dead %v: deleted row %d still found as id %d", homes, dead, i, got)
+				t.Errorf("homes %v order %v: deleted row %d still found as id %d", homes, order, i, got)
 			}
-		} else if got != newID[i] {
-			t.Errorf("homes %v dead %v: survivor %d stranded: lookup = %d, want %d (probe chain broken at a hole)",
-				homes, dead, i, got, newID[i])
+		} else if got != int32(i) {
+			t.Errorf("homes %v order %v: survivor %d stranded: lookup = %d (probe chain broken at a hole)",
+				homes, order, i, got)
 		}
 	}
 }
 
 // TestRowSetRemapWrapAround pins hand-built wrap-around geometries: a
 // cluster spanning the 15→0 boundary with holes on both sides of the
-// wrap, holes repaired out of probe order (the holes slice follows row
-// ID order, not slot order), and a chain where one hole's repair lands
-// an entry in another pending hole.
+// wrap, deletions out of slot order, and chains where one deletion's
+// shift moves an entry into the slot a later deletion empties.
 func TestRowSetRemapWrapAround(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -116,40 +93,36 @@ func TestRowSetRemapWrapAround(t *testing.T) {
 		// Same cluster; holes at slots 15 and 1 — the survivor between the
 		// holes (slot 0) and those after both must all re-home.
 		{"straddling-holes", []uint64{14, 14, 14, 14, 14, 14}, []int{1, 3}},
-		// Holes repaired in row-ID order but reversed slot order: row 1
-		// sits at slot 0 (pre-wrap home 15), row 5 at slot 4.
+		// Deletions in row-ID order but reversed slot order: row 1 sits
+		// at slot 0 (pre-wrap home 15), row 5 at slot 4.
 		{"reverse-slot-order", []uint64{15, 15, 15, 0, 1, 15}, []int{1, 5}},
-		// Mixed homes so re-homing an entry can fall into the other hole
-		// while both are open.
+		// Mixed homes so the first deletion's shift moves the entry the
+		// second deletion removes.
 		{"refill-pending-hole", []uint64{15, 15, 15, 0, 1, 15, 2, 3}, []int{0, 4}},
 		// Deleting the whole pre-wrap half strands the post-wrap half
-		// unless every one re-homes across the boundary.
+		// unless every one shifts back across the boundary.
 		{"halve-at-wrap", []uint64{13, 13, 13, 13, 13, 13, 13}, []int{0, 1, 2}},
 		// A second cluster entirely below the wrap must be untouched by
-		// repairs in the wrapping cluster.
+		// shifts in the wrapping cluster.
 		{"two-clusters", []uint64{14, 14, 14, 14, 6, 6, 6}, []int{1, 2}},
-		// Holes at slots 3, 9 and 6, repaired in that order: hole 3's walk
-		// stops at the still-empty hole 6 and leaves slot 5 empty, hole 9's
-		// walk then refills hole 6, so the cluster after hole 6 (rows 5
-		// and 6) must be re-homed even though the hole is no longer empty.
+		// Three clusters that merge into one long run (homes 3, 6, 9):
+		// each deletion shifts entries of the others' clusters.
 		{"refilled-hole-cluster", []uint64{3, 9, 6, 3, 3, 3, 3, 6}, []int{0, 1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dead := make(map[int]bool)
-			for _, i := range tc.dead {
-				dead[i] = true
-			}
-			deleteAndCheck(t, tc.homes, dead)
+			deleteAndCheck(t, tc.homes, tc.dead)
+			deleteAndCheck(t, tc.homes, reversed(tc.dead))
 		})
 	}
 }
 
 // TestRowSetRemapExhaustive sweeps every nonempty deletion subset of
-// every pattern — 2^n - 1 subsets each — over cluster geometries chosen
-// to maximize wrap-around interaction. Any probe-chain repair bug that
-// depends on hole order, hole adjacency, or the wrap boundary shows up
-// here with the exact homes/dead pair in the failure message.
+// every pattern — 2^n - 1 subsets each, deleted in ascending and in
+// descending row order — over cluster geometries chosen to maximize
+// wrap-around interaction. Any backward-shift bug that depends on
+// deletion order, hole adjacency, or the wrap boundary shows up here
+// with the exact homes/order pair in the failure message.
 func TestRowSetRemapExhaustive(t *testing.T) {
 	patterns := [][]uint64{
 		{14, 14, 14, 14, 14, 14, 14, 14},     // one cluster wrapping 14..5
@@ -163,13 +136,22 @@ func TestRowSetRemapExhaustive(t *testing.T) {
 	for _, homes := range patterns {
 		n := len(homes)
 		for bits := 1; bits < 1<<n; bits++ {
-			dead := make(map[int]bool)
+			var order []int
 			for i := 0; i < n; i++ {
 				if bits&(1<<i) != 0 {
-					dead[i] = true
+					order = append(order, i)
 				}
 			}
-			deleteAndCheck(t, homes, dead)
+			deleteAndCheck(t, homes, order)
+			deleteAndCheck(t, homes, reversed(order))
 		}
 	}
+}
+
+func reversed(order []int) []int {
+	out := make([]int, len(order))
+	for i, v := range order {
+		out[len(order)-1-i] = v
+	}
+	return out
 }

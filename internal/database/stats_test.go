@@ -51,7 +51,7 @@ func TestStatsEpochFallsOnDelete(t *testing.T) {
 	}
 	four := d.StatsEpoch()
 	r := d.Lookup("e")
-	if n := r.DeleteRowsMarked([]uint8{0, 0, 0, 1}, 1); n != 1 {
+	if n := r.DeleteRowsMarked([]int32{3}); n != 1 {
 		t.Fatalf("deleted %d rows, want 1", n)
 	}
 	if three := d.StatsEpoch(); three >= four {

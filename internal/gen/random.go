@@ -38,6 +38,21 @@ func ChainGraph(k int) *database.DB {
 	return db
 }
 
+// ForestGraph returns a database whose e relation is a forest of
+// disjoint chains of length edges each: chain c runs c<c>n0 -> c<c>n1
+// -> ... -> c<c>n<length>. Its transitive closure holds
+// chains·length·(length+1)/2 rows, and retracting a chain's last (tip)
+// edge removes length of them, wherever the chain sits in the slab.
+func ForestGraph(chains, length int) *database.DB {
+	db := database.New()
+	for c := 0; c < chains; c++ {
+		for j := 0; j < length; j++ {
+			db.Add("e", database.Tuple{fmt.Sprintf("c%dn%d", c, j), fmt.Sprintf("c%dn%d", c, j+1)})
+		}
+	}
+	return db
+}
+
 // GridGraph returns a database whose e relation is a directed (w+1)×(h+1)
 // grid: node (x, y) has an edge right to (x+1, y) and down to (x, y+1).
 // b duplicates the whole of e, so transitive closure derives the full

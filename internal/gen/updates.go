@@ -15,7 +15,7 @@ import (
 // indefinitely; the same seed always yields the same schedule.
 func UpdateStream(rng *rand.Rand, db *database.DB, pred string, steps, batch int) [][]ast.Atom {
 	rel := db.Lookup(pred)
-	if rel == nil || rel.Len() == 0 {
+	if rel == nil || rel.LiveLen() == 0 {
 		return nil
 	}
 	tuples := rel.Tuples()

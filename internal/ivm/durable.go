@@ -10,9 +10,20 @@ package ivm
 // bit-identical state) is what makes this exact: the replayed handle
 // finishes in precisely the state the crashed process held after its
 // last acknowledged commit.
+//
+// Support counts belong to the program that derived them, so every
+// snapshot records the maintained program's identity (programID). A
+// store reopened under a different program — or holding a snapshot
+// that predates identities — keeps only the snapshot's base: the live
+// store is re-materialized from it under the new program, and a fresh
+// snapshot is written before the handle serves anything.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"sort"
+	"strings"
 
 	"datalogeq/internal/ast"
 	"datalogeq/internal/database"
@@ -32,10 +43,14 @@ func init() {
 func newDurableMaint(prog *ast.Program, d *database.Durable, opts eval.Options) (*maint, eval.Stats, error) {
 	var m *maint
 	var stats eval.Stats
-	if snap := d.SnapshotState(); snap != nil {
-		if len(snap) != 2 || snap[0] == nil || snap[1] == nil {
-			return nil, stats, fmt.Errorf("ivm: snapshot holds %d databases, want (base, live)", len(snap))
-		}
+	id := programID(prog)
+	d.SetIdentity(id)
+	snap := d.SnapshotState()
+	if snap != nil && (len(snap) != 2 || snap[0] == nil || snap[1] == nil) {
+		return nil, stats, fmt.Errorf("ivm: snapshot holds %d databases, want (base, live)", len(snap))
+	}
+	remat := snap != nil && d.SnapshotIdentity() != id
+	if snap != nil && !remat {
 		if err := prog.Validate(); err != nil {
 			return nil, stats, err
 		}
@@ -43,11 +58,18 @@ func newDurableMaint(prog *ast.Program, d *database.Durable, opts eval.Options) 
 		if err != nil {
 			return nil, stats, err
 		}
-		// Counts were serialized with the live store; wire only.
+		// Counts were serialized with the live store under this
+		// program; wire only.
 		m = wire(prog, rules, nslots, snap[0], snap[1], opts)
 	} else {
+		// No snapshot, or one whose counts another program derived:
+		// materialize from the base alone.
+		base := database.New()
+		if snap != nil {
+			base = snap[0]
+		}
 		var err error
-		m, stats, err = newMaint(prog, database.New(), opts)
+		m, stats, err = newMaint(prog, base, opts)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -67,9 +89,11 @@ func newDurableMaint(prog *ast.Program, d *database.Durable, opts eval.Options) 
 		}
 	}
 	m.dur = d
-	if d.ShouldSnapshot() {
-		// A long recovered tail means the next crash would replay it
-		// again; fold it into a snapshot now.
+	if remat || d.ShouldSnapshot() {
+		// A re-materialized store must not be recovered under the old
+		// program's identity again, and a long recovered tail means the
+		// next crash would replay it again: fold either into a snapshot
+		// now.
 		if err := d.Snapshot([]*database.DB{m.base, m.live}); err != nil {
 			return nil, stats, err
 		}
@@ -130,4 +154,19 @@ func (m *maint) Close() error {
 		return nil
 	}
 	return m.dur.Close()
+}
+
+// programID identifies a maintained program: a hash of its rules, each
+// rendered canonically and sorted, so the same rule set in any order
+// has one identity. Support counts are a function of the rules, so a
+// snapshot's counts are valid exactly under the program whose identity
+// it records.
+func programID(prog *ast.Program) string {
+	rules := make([]string, len(prog.Rules))
+	for i, r := range prog.Rules {
+		rules[i] = r.String()
+	}
+	sort.Strings(rules)
+	sum := sha256.Sum256([]byte(strings.Join(rules, "\n")))
+	return hex.EncodeToString(sum[:])
 }

@@ -39,8 +39,10 @@ func countLines(db *database.DB) string {
 		if !r.CountsEnabled() {
 			continue
 		}
-		for i, tup := range r.Tuples() {
-			lines = append(lines, fmt.Sprintf("%s%s=%d", pred, tup, r.CountAt(i)))
+		for i := 0; i < r.Len(); i++ {
+			if !r.Dead(i) {
+				lines = append(lines, fmt.Sprintf("%s%s=%d", pred, r.RowAt(i).Tuple(), r.CountAt(i)))
+			}
 		}
 	}
 	sort.Strings(lines)
@@ -118,6 +120,55 @@ func TestDurableCheckpoint(t *testing.T) {
 	}
 	if got := countLines(r.DB()); got != wantCounts {
 		t.Fatalf("recovered counts:\n%s\nwant:\n%s", got, wantCounts)
+	}
+}
+
+// TestDurableReopenChangedProgram: a snapshot's support counts belong
+// to the program that derived them. Reopened under another program —
+// the left-linear form of the same closure, whose counts differ on a
+// diamond, and a nonrecursive program deriving fewer facts — the handle
+// must hold exactly the new program's materialization of the recovered
+// base, counts included, and keep it exact across a retract; the store
+// then reopens under the new program without re-materializing.
+func TestDurableReopenChangedProgram(t *testing.T) {
+	for _, src := range []string{
+		"tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n",
+		"tc(X, Y) :- e(X, Y).\n",
+	} {
+		dir := t.TempDir()
+		h := openDurable(t, dir, parser.MustProgram(tcSrc), eval.Options{}, -1)
+		if _, err := h.Insert(parser.MustAtomList("e(a, b), e(a, c), e(b, d), e(c, d), e(d, f)")); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Insert(parser.MustAtomList("e(f, g)")); err != nil {
+			t.Fatal(err)
+		}
+		h.Close()
+
+		prog := parser.MustProgram(src)
+		check := func(h *eval.Handle, when string) {
+			t.Helper()
+			want := mustMaintain(t, prog, h.Base().Clone(), eval.Options{})
+			if got, w := h.DB().String(), want.DB().String(); got != w {
+				t.Fatalf("%s under %q:\n%s\nwant:\n%s", when, src, got, w)
+			}
+			if got, w := countLines(h.DB()), countLines(want.DB()); got != w {
+				t.Fatalf("%s under %q: counts\n%s\nwant:\n%s", when, src, got, w)
+			}
+		}
+		r := openDurable(t, dir, prog, eval.Options{}, -1)
+		check(r, "reopened")
+		if _, err := r.Retract(parser.MustAtomList("e(b, d)")); err != nil {
+			t.Fatal(err)
+		}
+		check(r, "after a retract")
+		r.Close()
+		r = openDurable(t, dir, prog, eval.Options{}, -1)
+		check(r, "reopened again")
+		r.Close()
 	}
 }
 

@@ -130,11 +130,11 @@ func (u *update) noteBase(rel *database.Relation) {
 // noted base slab.
 func (u *update) unadmit() {
 	for _, b := range u.baseLens {
-		s := u.stateOf(b.rel)
-		for i := b.n; i < len(s); i++ {
-			s[i] |= rsDead
+		u.ids = u.ids[:0]
+		for i := b.n; i < b.rel.Len(); i++ {
+			u.ids = append(u.ids, int32(i))
 		}
-		b.rel.DeleteRowsMarked(s, rsDead)
+		b.rel.DeleteRowsMarked(u.ids)
 	}
 }
 

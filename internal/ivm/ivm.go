@@ -16,8 +16,10 @@
 // that kept support — the count left after overdeletion is exactly the
 // number of derivations untouched by the deletion, which makes the
 // classic DRed rederivation query a simple count>0 test. Physical
-// deletion is deferred to one compaction at the end of the update, so
-// the cascade enumerates against intact slabs.
+// deletion is deferred to one database.Relation.DeleteRowsMarked call
+// per touched relation at the end of the update, so the cascade
+// enumerates against intact slabs; it tombstones the killed rows, and
+// any compaction it trips runs there, never mid-cascade.
 //
 // Every update runs single-threaded in canonical order (strata in
 // topological order, rules ascending, body positions ascending,
@@ -275,6 +277,9 @@ func (m *maint) initCounts() {
 		rel := m.live.Lookup(pred)
 		row := make(database.Row, 0, br.Arity())
 		for i := 0; i < br.Len(); i++ {
+			if br.Dead(i) {
+				continue
+			}
 			row = br.AppendRowAt(row[:0], i)
 			rel.AddCountAt(int(rel.RowID(row)), 1)
 		}

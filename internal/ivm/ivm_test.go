@@ -3,6 +3,7 @@ package ivm_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -211,7 +212,9 @@ func baseRows(db *database.DB) string {
 	for _, p := range db.Preds() {
 		r := db.Lookup(p)
 		for i := 0; i < r.Len(); i++ {
-			fmt.Fprintf(&b, "%s%v\n", p, r.RowAt(i).Tuple())
+			if !r.Dead(i) {
+				fmt.Fprintf(&b, "%s%v\n", p, r.RowAt(i).Tuple())
+			}
 		}
 	}
 	return b.String()
@@ -302,6 +305,48 @@ func TestTipTogglesBuildNoPlans(t *testing.T) {
 	}
 }
 
+// TestTipRetractAllocsFlat pins that a retract costs what it touches,
+// not the relation it touches: the bytes a tip retract allocates on a
+// forest of 2000 chains (420k tc rows) stay within 1.2× of those on a
+// forest of 50 chains (10.5k tc rows). Each retract removes the tip of
+// a chain no earlier update touched, so its rows sit wherever the
+// initial fixpoint laid them out, mostly far from the slab's end.
+func TestTipRetractAllocsFlat(t *testing.T) {
+	small := tipRetractBytes(t, 50)
+	large := tipRetractBytes(t, 2000)
+	t.Logf("bytes per tip retract: %d on forest50x20, %d on forest2000x20", small, large)
+	if 10*large > 12*small {
+		t.Fatalf("a tip retract on forest2000x20 allocates %d B, more than 1.2× the %d B on forest50x20", large, small)
+	}
+}
+
+// tipRetractBytes returns the mean bytes allocated by a tip retract on
+// a forest of chains of 20 edges, after a few warm-up retracts.
+func tipRetractBytes(t *testing.T, chains int) uint64 {
+	t.Helper()
+	const length, warm, measured = 20, 4, 16
+	h := mustMaintain(t, parser.MustProgram(tcSrc), gen.ForestGraph(chains, length), eval.Options{})
+	var ms runtime.MemStats
+	var total uint64
+	for c := 0; c < warm+measured; c++ {
+		tip := parser.MustAtomList(fmt.Sprintf("e(c%dn%d, c%dn%d)", c, length-1, c, length))
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		us, err := h.Retract(tip)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if us.RowsDeleted != length+1 {
+			t.Fatalf("tip retract deleted %d rows, want %d", us.RowsDeleted, length+1)
+		}
+		if c >= warm {
+			total += ms.TotalAlloc - before
+		}
+	}
+	return total / measured
+}
+
 // errorsAs avoids importing errors just for one call.
 func errorsAs(err error, target **guard.LimitError) bool {
 	for err != nil {
@@ -330,9 +375,7 @@ func applyOp(base *database.DB, insert bool, facts []ast.Atom) {
 					row = append(row, database.Intern(t.Name))
 				}
 				if id := r.RowID(row); id >= 0 {
-					marks := make([]uint8, r.Len())
-					marks[id] = 1
-					r.DeleteRowsMarked(marks, 1)
+					r.DeleteRowsMarked([]int32{id})
 				}
 			}
 		}
@@ -411,6 +454,89 @@ func TestDifferentialRandom(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDifferentialTombstones is TestDifferentialRandom on relations
+// large enough to keep tombstones between updates: a forest whose
+// chain edges, tips and cross links are toggled at random, so retracts
+// leave dead rows that later probes, scans and reinserts must skip, and
+// enough of them pile up to trip compaction several times. After every
+// update the handles at 1, 2 and 8 workers must equal a from-scratch
+// fixpoint, carry the support counts a fresh materialization computes,
+// and agree bit for bit on the UpdateStats.
+func TestDifferentialTombstones(t *testing.T) {
+	prog := parser.MustProgram(tcSrc + "reach(Y) :- tc(c0n0, Y).\n")
+	const chains, length = 6, 12
+	base := gen.ForestGraph(chains, length)
+	handles := make([]*eval.Handle, 0, 3)
+	for _, w := range []int{1, 2, 8} {
+		handles = append(handles, mustMaintain(t, prog, base, eval.Options{Workers: w}))
+	}
+	shadow := base.Clone()
+	rng := rand.New(rand.NewSource(5))
+	tombstones, compactions := 0, 0
+	for step := 0; step < 120; step++ {
+		c, j := rng.Intn(chains), rng.Intn(length+1)
+		var fact ast.Atom
+		switch rng.Intn(3) {
+		case 0: // a chain edge, or the tip edge past the chain's end
+			fact = parser.MustAtom(fmt.Sprintf("e(c%dn%d, c%dn%d)", c, j, c, j+1))
+		case 1: // a link into another chain
+			fact = parser.MustAtom(fmt.Sprintf("e(c%dn%d, c%dn%d)", c, j, rng.Intn(chains), rng.Intn(length+1)))
+		default: // a derived fact asserted or withdrawn
+			fact = parser.MustAtom(fmt.Sprintf("tc(c%dn0, c%dn%d)", c, c, j))
+		}
+		facts := []ast.Atom{fact}
+		insert := !shadow.Contains(fact.Pred, atomTuple(fact))
+		applyOp(shadow, insert, facts)
+		want := fromScratch(t, prog, shadow)
+		wantCounts := countLines(mustMaintain(t, prog, shadow, eval.Options{}).DB())
+		tc := handles[0].DB().Lookup("tc")
+		before := tc.Len()
+		var first eval.UpdateStats
+		for wi, h := range handles {
+			var us eval.UpdateStats
+			var err error
+			if insert {
+				us, err = h.Insert(facts)
+			} else {
+				us, err = h.Retract(facts)
+			}
+			if err != nil {
+				t.Fatalf("step %d (insert=%v %s): %v", step, insert, fact, err)
+			}
+			if got := h.DB().String(); got != want {
+				t.Fatalf("step %d (insert=%v %s) handle %d diverged:\n got:\n%s\nwant:\n%s", step, insert, fact, wi, got, want)
+			}
+			if got := countLines(h.DB()); got != wantCounts {
+				t.Fatalf("step %d (insert=%v %s) handle %d counts:\n%s\nwant:\n%s", step, insert, fact, wi, got, wantCounts)
+			}
+			if wi == 0 {
+				first = us
+			} else if usNoWall(us) != usNoWall(first) {
+				t.Fatalf("step %d: UpdateStats differ across workers: %+v vs %+v", step, usNoWall(us), usNoWall(first))
+			}
+		}
+		if tc.HasDead() {
+			tombstones++
+		}
+		if tc.Len() < before {
+			compactions++
+		}
+	}
+	t.Logf("tc held tombstones after %d updates and compacted %d times", tombstones, compactions)
+	if tombstones == 0 || compactions < 2 {
+		t.Fatalf("tc held tombstones after %d updates and compacted %d times; want both exercised", tombstones, compactions)
+	}
+}
+
+// atomTuple returns a ground atom's constants.
+func atomTuple(a ast.Atom) database.Tuple {
+	t := make(database.Tuple, len(a.Args))
+	for i, arg := range a.Args {
+		t[i] = arg.Name
+	}
+	return t
 }
 
 // FuzzIncremental feeds byte-driven update schedules through the

@@ -21,8 +21,8 @@ import (
 // exactly once. After the cascade, a recursive stratum's overdeleted
 // rows with support left (their remaining derivations use no deleted
 // row) are revived, and revival rounds restore the counts their
-// matches contribute. Physical deletion is one deferred compaction per
-// touched relation at the end of the update.
+// matches contribute. Physical deletion is one deferred DeleteRowsMarked
+// per touched relation at the end of the update, handed the killed rows.
 func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 	var us eval.UpdateStats
 	if err := m.checkUsable(); err != nil {
@@ -52,11 +52,11 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 		}
 		// The base row is only marked: it leaves the base after the
 		// cascade succeeds, so a failed update leaves Base() unchanged.
-		bs := u.stateOf(br)
-		if bs[bid]&rsDead != 0 {
+		b := u.stateOf(br).at(bid)
+		if *b&rsDead != 0 {
 			continue // duplicate within the batch
 		}
-		bs[bid] |= rsDead
+		*b |= rsDead
 		lr := m.live.Lookup(ad.pred)
 		lid := lr.RowID(ad.row)
 		if m.counted[ad.pred] {
@@ -85,16 +85,17 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 		}
 	}
 
-	// Deferred compaction: the cascade enumerated against intact slabs;
+	// Deferred deletion: the cascade enumerated against intact slabs;
 	// now the dead rows leave the store for real, in sorted predicate
 	// order.
 	for _, pred := range m.live.Preds() {
 		rel := m.live.Lookup(pred)
-		sl := u.st[rel]
-		if len(sl) == 0 {
+		p := u.st[rel]
+		if p == nil || len(p.ids) == 0 {
 			continue
 		}
-		n := rel.DeleteRowsMarked(sl, rsDead)
+		u.ids = p.appendDead(u.ids[:0])
+		n := rel.DeleteRowsMarked(u.ids)
 		us.RowsDeleted += n
 		for j := 0; j < n; j++ {
 			if err := m.charge(meter, "ivm/retract"); err != nil {
@@ -103,13 +104,14 @@ func (m *maint) Retract(facts []ast.Atom) (eval.UpdateStats, error) {
 		}
 	}
 	// Every step that can fail is done: the marked base rows go too.
-	// Truncating the phase array after the compaction keeps a repeated
-	// predicate from compacting again against shifted row IDs.
+	// Resetting the phase table after the deletion keeps a repeated
+	// predicate from deleting again by row IDs a compaction shifted.
 	for _, ad := range adms {
 		if br := m.base.Lookup(ad.pred); br != nil {
-			if bs := u.st[br]; len(bs) != 0 {
-				br.DeleteRowsMarked(bs, rsDead)
-				u.st[br] = bs[:0]
+			if p := u.st[br]; p != nil && len(p.ids) != 0 {
+				u.ids = p.appendDead(u.ids[:0])
+				br.DeleteRowsMarked(u.ids)
+				p.reset()
 			}
 		}
 	}
@@ -130,9 +132,9 @@ func (u *update) retractStratum(si int, s ast.Stratum) error {
 	front := u.fa
 	front.reset()
 	for _, k := range u.deadOrder {
-		if bodyPreds[k.pred] && u.st[k.rel][k.rid]&rsDead != 0 {
+		if bodyPreds[k.pred] && k.ph.get(k.rid)&rsDead != 0 {
 			front.add(k.pred, k.rid)
-			u.st[k.rel][k.rid] |= rsFront
+			*k.ph.at(k.rid) |= rsFront
 		}
 	}
 	if front.n == 0 {
@@ -151,15 +153,16 @@ func (u *update) retractStratum(si int, s ast.Stratum) error {
 		// Promote: the propagated frontier joins the exclusion set, and
 		// this round's kills become the next frontier.
 		for _, p := range front.preds {
-			sl := u.st[m.live.Lookup(p)]
+			ph := u.st[m.live.Lookup(p)]
 			for _, rid := range front.rows[p] {
-				sl[rid] = sl[rid]&^rsFront | rsProp
+				b := ph.at(rid)
+				*b = *b&^rsFront | rsProp
 			}
 		}
 		for _, p := range next.preds {
-			sl := u.st[m.live.Lookup(p)]
+			ph := u.st[m.live.Lookup(p)]
 			for _, rid := range next.rows[p] {
-				sl[rid] |= rsFront
+				*ph.at(rid) |= rsFront
 			}
 		}
 		front, next = next, front
@@ -172,7 +175,7 @@ func (u *update) retractStratum(si int, s ast.Stratum) error {
 		err = u.rederive(si, s)
 	}
 	for _, k := range u.deadOrder {
-		u.st[k.rel][k.rid] &^= rsFront | rsProp | rsRev | rsPending
+		*k.ph.at(k.rid) &^= rsFront | rsProp | rsRev | rsPending
 	}
 	return err
 }
@@ -196,12 +199,12 @@ func (u *update) rederive(si int, s ast.Stratum) error {
 		if !sPreds[k.pred] {
 			continue
 		}
-		sl := u.st[k.rel]
-		if sl[k.rid]&rsDead == 0 {
+		b := k.ph.at(k.rid)
+		if *b&rsDead == 0 {
 			continue
 		}
 		if k.rel.CountAt(int(k.rid)) > 0 {
-			sl[k.rid] = sl[k.rid]&^rsDead | rsRev
+			*b = *b&^rsDead | rsRev
 			u.us.Rederived++
 			front.add(k.pred, k.rid)
 		}
@@ -215,15 +218,16 @@ func (u *update) rederive(si int, s ast.Stratum) error {
 		// The propagated revivals become plain live rows; buffered
 		// revivals come alive and form the next frontier.
 		for _, p := range front.preds {
-			sl := u.st[m.live.Lookup(p)]
+			ph := u.st[m.live.Lookup(p)]
 			for _, rid := range front.rows[p] {
-				sl[rid] &^= rsRev
+				*ph.at(rid) &^= rsRev
 			}
 		}
 		for _, p := range next.preds {
-			sl := u.st[m.live.Lookup(p)]
+			ph := u.st[m.live.Lookup(p)]
 			for _, rid := range next.rows[p] {
-				sl[rid] = sl[rid]&^(rsDead|rsPending) | rsRev
+				b := ph.at(rid)
+				*b = *b&^(rsDead|rsPending) | rsRev
 				u.us.Rederived++
 			}
 		}

@@ -8,16 +8,16 @@ import (
 )
 
 // Per-update machinery shared by Insert and Retract. Updates are small
-// and frequent, so the hot loops avoid per-round allocation: row phase
-// state lives in per-relation byte arrays instead of hash sets, the
-// executor and its callbacks are built once per update, frontier
-// buffers are swapped and reset rather than reallocated, and plans come
-// straight from the handle's planner, whose slots are keyed by the
-// compiled rule.
+// and frequent, so the hot loops avoid per-round allocation and never
+// pay for a whole relation: row phase state lives in per-relation
+// tables sized by the rows the update touched, the executor and its
+// callbacks are built once per update, frontier buffers are swapped and
+// reset rather than reallocated, and plans come straight from the
+// handle's planner, whose slots are keyed by the compiled rule.
 
-// Row phase bits, per relation, allocated lazily for relations an
-// update actually touches. IDs index the pre-compaction slab, so the
-// state dies with the update.
+// Row phase bits, per relation, kept only for rows an update touches.
+// IDs index the slab as the update found it, so the state dies with the
+// update.
 const (
 	// rsDead marks a killed (and not revived) row.
 	rsDead uint8 = 1 << iota
@@ -43,7 +43,82 @@ const (
 type killRec struct {
 	pred string
 	rel  *database.Relation
+	ph   *phases
 	rid  int32
+}
+
+// phases holds one relation's row phase bits for the rows the current
+// update touched: a linear-probe map from row ID to bits, and the
+// touched IDs in first-touch order. It is sized by the touched rows,
+// never by the relation, and reset removes exactly those rows, so an
+// update costs nothing per untouched row.
+type phases struct {
+	slots []phaseSlot
+	ids   []int32
+}
+
+type phaseSlot struct {
+	rid  int32 // row ID + 1; 0 = empty
+	bits uint8
+}
+
+// slotIn returns the index of rid's slot in slots, or of the empty
+// slot where it would go.
+func slotIn(slots []phaseSlot, rid int32) int {
+	mask := len(slots) - 1
+	i := int(uint64(uint32(rid))*0x9E3779B97F4A7C15>>32) & mask
+	for slots[i].rid != 0 && slots[i].rid != rid+1 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns rid's phase bits, 0 for an untouched row.
+func (p *phases) get(rid int32) uint8 {
+	if len(p.ids) == 0 {
+		return 0
+	}
+	return p.slots[slotIn(p.slots, rid)].bits
+}
+
+// at returns rid's phase bits for update, recording rid as touched.
+func (p *phases) at(rid int32) *uint8 {
+	if 4*(len(p.ids)+1) > 3*len(p.slots) {
+		// Re-place in touch order, so the table is always the one that
+		// inserting ids in order builds; reset relies on it.
+		old := p.slots
+		p.slots = make([]phaseSlot, max(16, 2*len(old)))
+		for _, id := range p.ids {
+			p.slots[slotIn(p.slots, id)] = old[slotIn(old, id)]
+		}
+	}
+	i := slotIn(p.slots, rid)
+	if p.slots[i].rid == 0 {
+		p.slots[i].rid = rid + 1
+		p.ids = append(p.ids, rid)
+	}
+	return &p.slots[i].bits
+}
+
+// reset forgets every touched row, newest first: removing the entries
+// of a linear-probe table in reverse insertion order retraces the
+// table's earlier states, so each removal finds its row without any
+// deletion repair, and the cost is the touched rows, not the table.
+func (p *phases) reset() {
+	for k := len(p.ids) - 1; k >= 0; k-- {
+		p.slots[slotIn(p.slots, p.ids[k])] = phaseSlot{}
+	}
+	p.ids = p.ids[:0]
+}
+
+// appendDead appends the touched rows whose bits include rsDead.
+func (p *phases) appendDead(dst []int32) []int32 {
+	for _, id := range p.ids {
+		if p.get(id)&rsDead != 0 {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // frontier is one round's worth of rows to propagate, grouped by
@@ -97,12 +172,14 @@ type update struct {
 	// Retract state: per-relation row phases, the global kill order,
 	// the frontier being discovered (next kills or pending revivals),
 	// and double-buffered frontiers.
-	st         map[*database.Relation][]uint8
+	st         map[*database.Relation]*phases
 	deadOrder  []killRec
 	next       *frontier
 	fa, fb     *frontier
-	stepStates [][]uint8
+	stepStates []*phases
 	skipMask   []uint8
+	// ids is scratch for the row-ID lists handed to DeleteRowsMarked.
+	ids []int32
 
 	// Insert state: tracked-relation length snapshots, and each base
 	// relation's length before admission, for undoing a failed Insert.
@@ -130,16 +207,15 @@ func (m *maint) newUpdate(meter *guard.Meter, us *eval.UpdateStats) *update {
 		u.x.Stop = &m.stop
 		u.x.OnMatch = u.onMatch
 		u.headRow = make(database.Row, 0, 8)
-		u.st = make(map[*database.Relation][]uint8)
+		u.st = make(map[*database.Relation]*phases)
 		u.fa, u.fb = newFrontier(), newFrontier()
 		m.upd = u
 	}
 	u.meter = meter
 	u.us = us
-	// Truncate state arrays rather than dropping them: stateOf re-zeroes
-	// on next touch, reusing the allocation.
-	for rel, s := range u.st {
-		u.st[rel] = s[:0]
+	// Forget the rows the previous update touched, keeping the tables.
+	for _, p := range u.st {
+		p.reset()
 	}
 	u.deadOrder = u.deadOrder[:0]
 	u.baseLens = u.baseLens[:0]
@@ -176,40 +252,27 @@ func (u *update) bindDelta(r *plan.Rule, ai int, rel *database.Relation, rid int
 	return true
 }
 
-// stateOf returns rel's phase array, allocating (or re-zeroing the
-// pooled buffer) on first touch in this update.
-func (u *update) stateOf(rel *database.Relation) []uint8 {
-	s := u.st[rel]
-	if len(s) == 0 {
-		n := rel.Len()
-		if cap(s) >= n {
-			s = s[:n]
-			for i := range s {
-				s[i] = 0
-			}
-		} else {
-			s = make([]uint8, n)
-		}
-		u.st[rel] = s
+// stateOf returns rel's phase table, creating it on first touch.
+func (u *update) stateOf(rel *database.Relation) *phases {
+	p := u.st[rel]
+	if p == nil {
+		p = &phases{}
+		u.st[rel] = p
 	}
-	return s
+	return p
 }
 
 // kill marks a row dead, recording it in the global kill order.
 // Reports whether the row was newly killed.
 func (u *update) kill(pred string, rel *database.Relation, rid int32) bool {
-	s := u.stateOf(rel)
-	if s[rid]&rsDead != 0 {
+	p := u.stateOf(rel)
+	b := p.at(rid)
+	if *b&rsDead != 0 {
 		return false
 	}
-	s[rid] |= rsDead
-	u.deadOrder = append(u.deadOrder, killRec{pred, rel, rid})
+	*b |= rsDead
+	u.deadOrder = append(u.deadOrder, killRec{pred, rel, p, rid})
 	return true
-}
-
-func (u *update) isDead(rel *database.Relation, rid int32) bool {
-	s := u.st[rel]
-	return len(s) != 0 && s[rid]&rsDead != 0
 }
 
 // prepTask points the executor's row filter at one residual task of
@@ -225,10 +288,10 @@ func (u *update) prepTask(ri, ai int, p *plan.Plan, before, after uint8) {
 			mask = before
 		}
 		u.skipMask = append(u.skipMask, mask)
-		// A zero-length entry is a pooled buffer from an earlier update,
+		// A table with no touched rows is left from an earlier update,
 		// not state: treat it as untouched.
 		s := u.st[u.m.bodyRels[ri][st.Atom]]
-		if len(s) == 0 {
+		if s != nil && len(s.ids) == 0 {
 			s = nil
 		}
 		u.stepStates = append(u.stepStates, s)
@@ -240,7 +303,7 @@ func (u *update) prepTask(ri, ai int, p *plan.Plan, before, after uint8) {
 // no state and nothing to skip.
 func (u *update) skipRow(si int, rid int32) bool {
 	s := u.stepStates[si]
-	return s != nil && s[rid]&u.skipMask[si] != 0
+	return s != nil && s.get(rid)&u.skipMask[si] != 0
 }
 
 // onMatch handles one complete body match, dispatching on the update
@@ -273,13 +336,7 @@ func (u *update) onMatch() {
 		c := rel.AddCountAt(int(hid), -1)
 		u.us.CountUpdates++
 		u.m.charge(u.meter, "ivm/retract")
-		s := u.stateOf(rel)
-		if s[hid]&rsDead != 0 {
-			return
-		}
-		if u.recursive || c == 0 {
-			s[hid] |= rsDead
-			u.deadOrder = append(u.deadOrder, killRec{u.rule.HeadPred, rel, hid})
+		if (u.recursive || c == 0) && u.kill(u.rule.HeadPred, rel, hid) {
 			u.next.add(u.rule.HeadPred, hid)
 		}
 	case updRevive:
@@ -287,9 +344,10 @@ func (u *update) onMatch() {
 		rel.AddCountAt(int(hid), 1)
 		u.us.CountUpdates++
 		u.m.charge(u.meter, "ivm/retract")
-		s := u.stateOf(rel)
-		if s[hid]&(rsDead|rsPending) == rsDead {
-			s[hid] |= rsPending
+		// Only a dead row can revive, and every dead row has been
+		// touched: a live head needs no lookup beyond get.
+		if s := u.stateOf(rel); s.get(hid)&(rsDead|rsPending) == rsDead {
+			*s.at(hid) |= rsPending
 			u.next.add(u.rule.HeadPred, hid)
 		}
 	}

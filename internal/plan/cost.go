@@ -29,7 +29,7 @@ func estimateFan(a Atom, bound map[int]bool, db *database.DB) float64 {
 	if rel == nil {
 		return 0
 	}
-	n := float64(rel.Len())
+	n := float64(rel.LiveLen())
 	var mask uint64
 	nbound := 0
 	for pos, arg := range a.Args {

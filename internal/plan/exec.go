@@ -37,7 +37,9 @@ type Exec struct {
 	// its filters run: returning true excludes slab row rid of step si
 	// from the enumeration. Incremental maintenance uses it to subtract
 	// scattered row-ID sets (deleted or not-yet-revived rows) that no
-	// contiguous window can express. Nil costs one pointer check per row.
+	// contiguous window can express. Dead rows are skipped before it is
+	// consulted. Nil, over a relation without tombstones, costs one test
+	// per step, not one per row.
 	SkipRow func(si int, rid int32) bool
 
 	// Probes counts index probes issued; the caller folds it into its
@@ -109,7 +111,7 @@ func (x *Exec) run(p *Plan, si int, w Window, bounds []Window) {
 		return
 	}
 	// The store is frozen during the fire phase, so Len() is the
-	// round-start snapshot length.
+	// round-start slab length.
 	lo, hi := 0, rel.Len()
 	switch {
 	case bounds != nil:
@@ -146,11 +148,14 @@ func (x *Exec) run(p *Plan, si int, w Window, bounds []Window) {
 		return
 	}
 	x.Probes++
+	// Postings keep deleted rows; a relation without tombstones and a
+	// run without a row filter skip nothing, and pay this test once.
+	filter := rel.HasDead() || x.SkipRow != nil
 	for _, rid := range rows {
 		if x.Poll() {
 			return
 		}
-		if x.SkipRow != nil && x.SkipRow(si, rid) {
+		if filter && x.skip(si, rel, rid) {
 			continue
 		}
 		i := int(rid)
@@ -173,12 +178,13 @@ func (x *Exec) run(p *Plan, si int, w Window, bounds []Window) {
 // (where an index would enumerate everything anyway) and atoms wider
 // than the 64-bit mask.
 func (x *Exec) scan(p *Plan, si int, st *Step, rel *database.Relation, lo, hi int, w Window, bounds []Window) {
+	filter := rel.HasDead() || x.SkipRow != nil
 rows:
 	for i := lo; i < hi; i++ {
 		if x.Poll() {
 			return
 		}
-		if x.SkipRow != nil && x.SkipRow(si, int32(i)) {
+		if filter && x.skip(si, rel, int32(i)) {
 			continue
 		}
 		for _, f := range st.Filters {
@@ -206,6 +212,12 @@ rows:
 			return
 		}
 	}
+}
+
+// skip reports whether candidate row rid of step si is excluded: dead,
+// or rejected by SkipRow.
+func (x *Exec) skip(si int, rel *database.Relation, rid int32) bool {
+	return rel.Dead(int(rid)) || x.SkipRow != nil && x.SkipRow(si, rid)
 }
 
 // checksPass verifies the repeated-variable constraints the probe key

@@ -679,9 +679,12 @@ func factLines(db *database.DB, goal string) []string {
 	if rel == nil {
 		return nil
 	}
-	lines := make([]string, 0, rel.Len())
+	lines := make([]string, 0, rel.LiveLen())
 	var row database.Row
 	for i := 0; i < rel.Len(); i++ {
+		if rel.Dead(i) {
+			continue
+		}
 		row = rel.AppendRowAt(row[:0], i)
 		args := make([]ast.Term, len(row))
 		for j, id := range row {

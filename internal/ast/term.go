@@ -52,11 +52,27 @@ func (t Term) String() string {
 		return t.Name
 	}
 	if needsQuote(t.Name) {
-		escaped := strings.ReplaceAll(t.Name, `\`, `\\`)
-		escaped = strings.ReplaceAll(escaped, "'", `\'`)
-		return "'" + escaped + "'"
+		return string(AppendConst(nil, t.Name))
 	}
 	return t.Name
+}
+
+// AppendConst appends the constant name to dst as Term.String renders
+// it: bare when it lexes back as the same constant, otherwise quoted
+// with backslashes and quotes escaped.
+func AppendConst(dst []byte, name string) []byte {
+	if !needsQuote(name) {
+		return append(dst, name...)
+	}
+	dst = append(dst, '\'')
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c == '\\' || c == '\'' {
+			dst = append(dst, '\\', c)
+		} else {
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\'')
 }
 
 func needsQuote(s string) bool {

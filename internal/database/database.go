@@ -471,7 +471,7 @@ func New() *DB {
 func (d *DB) Relation(pred string, arity int) *Relation {
 	if r, ok := d.relations[pred]; ok {
 		if r.arity != arity {
-			//repolint:allow panic — invariant: eval.validateArities rejects program/database arity clashes before any Relation call; reaching this is a programming error.
+			//repolint:allow panic — invariant: eval.ValidateArities rejects program/database arity clashes before any Relation call; reaching this is a programming error.
 			panic(fmt.Sprintf("database: relation %s has arity %d, requested %d", pred, r.arity, arity))
 		}
 		return r

@@ -144,7 +144,7 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 	if err := prog.Validate(); err != nil {
 		return nil, Stats{}, nil, err
 	}
-	if err := validateArities(prog, edb); err != nil {
+	if err := ValidateArities(prog, edb); err != nil {
 		return nil, Stats{}, nil, err
 	}
 	rules, maxVars := plan.CompileRules(prog)
@@ -195,13 +195,13 @@ func Goal(prog *ast.Program, edb *database.DB, goal string, opts Options) (*data
 	return database.NewRelation(arity), stats, nil
 }
 
-// validateArities rejects programs whose predicate arities disagree
+// ValidateArities rejects programs whose predicate arities disagree
 // with the database's relations. Without this check an arity clash
 // either panicked deep in the storage layer (head collision) or
 // silently matched rows of the wrong width (body atom), both reachable
 // from ordinary user input: a program file and a fact file that
 // disagree about a predicate.
-func validateArities(prog *ast.Program, edb *database.DB) error {
+func ValidateArities(prog *ast.Program, edb *database.DB) error {
 	checked := make(map[string]bool)
 	check := func(a ast.Atom) error {
 		if checked[a.Pred] {

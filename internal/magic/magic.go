@@ -68,21 +68,30 @@ type Result struct {
 // Transform rewrites prog for the query atom (whose constant positions
 // are the bound arguments). The query's predicate must be intensional.
 func Transform(prog *ast.Program, query ast.Atom) (*Result, error) {
+	res, _, err := transform(prog, query)
+	return res, err
+}
+
+// job is one (predicate, adornment) pair the rewrite adorns.
+type job struct {
+	sym ast.PredSym
+	ad  Adornment
+}
+
+// transform is Transform that also returns every adorned pair, in the
+// order the rewrite reached them.
+func transform(prog *ast.Program, query ast.Atom) (*Result, []job, error) {
 	if err := prog.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sym := query.Sym()
 	if !prog.IsIDB(sym) {
-		return nil, fmt.Errorf("magic: query predicate %s is not intensional", sym)
+		return nil, nil, fmt.Errorf("magic: query predicate %s is not intensional", sym)
 	}
 	isIDB := prog.IDBPreds()
 	goalAd := AdornmentFor(query)
 
 	out := &ast.Program{}
-	type job struct {
-		sym ast.PredSym
-		ad  Adornment
-	}
 	seen := map[string]bool{}
 	var queue []job
 	push := func(s ast.PredSym, ad Adornment) {
@@ -99,7 +108,7 @@ func Transform(prog *ast.Program, query ast.Atom) (*Result, error) {
 		for _, r := range prog.RulesFor(j.sym) {
 			adorned, err := adornRule(r, j.ad, isIDB, push)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			out.Rules = append(out.Rules, adorned...)
 		}
@@ -119,7 +128,7 @@ func Transform(prog *ast.Program, query ast.Atom) (*Result, error) {
 		Program:  out,
 		GoalPred: adornedName(query.Pred, goalAd),
 		Seed:     seed,
-	}, nil
+	}, queue, nil
 }
 
 // adornRule adorns one rule for the head adornment and emits the

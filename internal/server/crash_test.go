@@ -180,7 +180,7 @@ func runKillUnderLoad(t *testing.T, point string, hit int, env []string) {
 		s.Shutdown(ctx)
 	}()
 	base := make(map[string]bool)
-	for _, line := range factLines(s.h.Base(), "e") {
+	for _, line := range factLines(s.h.Base().Lookup("e"), "e") {
 		base[line] = true
 	}
 	var sumSeqs uint64

@@ -212,7 +212,8 @@ func (s *Server) lineQuery(wr *bufio.Writer, sess *session, cmd, rest string) bo
 		fmt.Fprintf(wr, "%s n=%d\n", status, len(res.Tuples))
 	}
 	for _, t := range res.Tuples {
-		fmt.Fprintf(wr, "%s\n", t)
+		wr.WriteString(t)
+		wr.WriteByte('\n')
 	}
 	return false
 }

@@ -48,6 +48,7 @@ import (
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/guard"
+	"datalogeq/internal/magic"
 	"datalogeq/internal/parser"
 )
 
@@ -373,7 +374,7 @@ func (s *Server) runQuery(ctx context.Context, t *tenantState, goal, programSrc 
 		if s.cfg.Program.GoalArity(goal) < 0 {
 			return QueryResult{}, &badRequestError{fmt.Sprintf("goal predicate %q does not occur in the served program", goal)}
 		}
-		return QueryResult{Verdict: "complete", Tuples: factLines(s.h.DB(), goal)}, nil
+		return QueryResult{Verdict: "complete", Tuples: factLines(s.h.DB().Lookup(goal), goal)}, nil
 	}
 	prog, err := parser.Program(programSrc)
 	if err != nil {
@@ -386,6 +387,13 @@ func (s *Server) runQuery(ctx context.Context, t *tenantState, goal, programSrc 
 		Workers: s.cfg.Workers,
 		Budget:  t.cfg.Budget.Started(),
 		Ctx:     ctx,
+	}
+	// A constant bound into a recursive predicate makes the query
+	// goal-directed: evaluate its magic-sets rewrite, whose adorned goal
+	// relation is the goal relation of the program as sent.
+	rel := goal
+	if mr := magic.Rewrite(prog, goal, s.h.DB()); mr != nil {
+		prog, rel = mr.Program, mr.GoalPred
 	}
 	out, stats, err := eval.Eval(prog, s.h.DB(), opts)
 	res := QueryResult{
@@ -405,7 +413,7 @@ func (s *Server) runQuery(ctx context.Context, t *tenantState, goal, programSrc 
 		}
 		res.RetryAfter = int64(s.cfg.RetryAfter / time.Second)
 	}
-	res.Tuples = factLines(out, goal)
+	res.Tuples = factLines(out.Lookup(rel), goal)
 	return res, nil
 }
 
@@ -673,24 +681,51 @@ type badRequestError struct{ msg string }
 
 func (e *badRequestError) Error() string { return e.msg }
 
-// factLines renders the goal relation as sorted fact lines.
-func factLines(db *database.DB, goal string) []string {
-	rel := db.Lookup(goal)
+// factLines renders rel's live rows as sorted fact lines of pred. Every
+// line is appended to one buffer, which becomes one string the lines
+// are sliced from, so the allocation count does not grow with rel.
+func factLines(rel *database.Relation, pred string) []string {
 	if rel == nil {
 		return nil
 	}
-	lines := make([]string, 0, rel.LiveLen())
-	var row database.Row
+	// Size the buffer as if every constant were quoted; only escapes
+	// inside quoted constants can outgrow it.
+	size := 0
 	for i := 0; i < rel.Len(); i++ {
 		if rel.Dead(i) {
 			continue
 		}
-		row = rel.AppendRowAt(row[:0], i)
-		args := make([]ast.Term, len(row))
-		for j, id := range row {
-			args[j] = ast.C(database.Symbol(id))
+		size += len(pred) + 3 // "(", ")" and "."
+		for c := 0; c < rel.Arity(); c++ {
+			size += len(database.Symbol(rel.At(i, c))) + 4 // quotes and ", "
 		}
-		lines = append(lines, ast.Atom{Pred: goal, Args: args}.String()+".")
+	}
+	buf := make([]byte, 0, size)
+	ends := make([]int, 0, rel.LiveLen())
+	for i := 0; i < rel.Len(); i++ {
+		if rel.Dead(i) {
+			continue
+		}
+		buf = append(buf, pred...)
+		if rel.Arity() > 0 {
+			buf = append(buf, '(')
+			for c := 0; c < rel.Arity(); c++ {
+				if c > 0 {
+					buf = append(buf, ", "...)
+				}
+				buf = ast.AppendConst(buf, database.Symbol(rel.At(i, c)))
+			}
+			buf = append(buf, ')')
+		}
+		buf = append(buf, '.')
+		ends = append(ends, len(buf))
+	}
+	all := string(buf)
+	lines := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		lines[i] = all[start:end]
+		start = end
 	}
 	sort.Strings(lines)
 	return lines

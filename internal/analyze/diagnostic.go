@@ -90,16 +90,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%d:%d: %s %s: %s", d.Line, d.Col, d.Severity, d.Code, d.Message)
 }
 
-// HasErrors reports whether any diagnostic is an Error.
-func HasErrors(diags []Diagnostic) bool {
-	for _, d := range diags {
-		if d.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
-
 // sortDiagnostics orders diagnostics by position, then code, then
 // message, so output is deterministic regardless of pass order.
 func sortDiagnostics(diags []Diagnostic) {

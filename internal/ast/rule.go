@@ -160,13 +160,6 @@ func NewFreshVarGen(prefix string, reserved ...string) *FreshVarGen {
 	return g
 }
 
-// Reserve marks additional names as taken.
-func (g *FreshVarGen) Reserve(names ...string) {
-	for _, n := range names {
-		g.reserved[n] = true
-	}
-}
-
 // Fresh returns a new variable name not returned before and not reserved.
 func (g *FreshVarGen) Fresh() string {
 	for {

@@ -39,12 +39,6 @@ func V(name string) Term { return Term{Kind: Var, Name: name} }
 // C returns a constant term with the given name.
 func C(name string) Term { return Term{Kind: Const, Name: name} }
 
-// IsVar reports whether t is a variable.
-func (t Term) IsVar() bool { return t.Kind == Var }
-
-// IsConst reports whether t is a constant.
-func (t Term) IsConst() bool { return t.Kind == Const }
-
 // String renders the term in concrete syntax. Constants whose spelling
 // could be mistaken for a variable (leading upper-case letter) are quoted.
 func (t Term) String() string {

@@ -40,7 +40,7 @@ func CQContainedInProgramOpt(theta cq.CQ, prog *ast.Program, goal string, opts O
 	db, head := theta.CanonicalDB()
 	// Canonical databases are tiny (one fact per body atom), so the
 	// evaluation runs single-worker; the parallelism worth having is the
-	// per-disjunct fan-out in UCQContainedInProgram. The evaluation goes
+	// per-disjunct fan-out in UCQContainedInProgramOpt. The evaluation goes
 	// through eval's cost-based planner like any other, so containment
 	// checks against large programs inherit its join ordering; per-rule
 	// plans are cached across the fixpoint rounds of this one call.
@@ -51,19 +51,13 @@ func CQContainedInProgramOpt(theta cq.CQ, prog *ast.Program, goal string, opts O
 	return rel.Contains(head), nil
 }
 
-// UCQContainedInProgram decides Θ ⊆ Π disjunct-wise (Theorem 2.3 makes
-// per-disjunct checking exact when the left side is a union). It is
-// UCQContainedInProgramOpt with default options.
-func UCQContainedInProgram(q ucq.UCQ, prog *ast.Program, goal string) (bool, *cq.CQ, error) {
-	return UCQContainedInProgramOpt(q, prog, goal, Options{})
-}
-
-// UCQContainedInProgramOpt decides Θ ⊆ Π under opts. The disjunct
-// checks — independent canonical-database evaluations — fan out across
-// the worker pool; the reported failing disjunct is the lowest-indexed
-// one, exactly as in a sequential scan: workers track the minimum
-// known-bad index and skip disjuncts beyond it, and every disjunct
-// below the final minimum has completed cleanly.
+// UCQContainedInProgramOpt decides Θ ⊆ Π disjunct-wise under opts
+// (Theorem 2.3 makes per-disjunct checking exact when the left side is
+// a union). The disjunct checks — independent canonical-database
+// evaluations — fan out across the worker pool; the reported failing
+// disjunct is the lowest-indexed one, exactly as in a sequential scan:
+// workers track the minimum known-bad index and skip disjuncts beyond
+// it, and every disjunct below the final minimum has completed cleanly.
 //
 // Budget accounting stays deterministic under the fan-out: the Canon
 // charges for every disjunct's canonical database land on one meter in

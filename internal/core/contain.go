@@ -469,8 +469,3 @@ func decodeWordWitness(u *Universe, pt *PtreesResult, word []int) *Witness {
 	tree := &expansion.Tree{Prog: u.Prog, Root: root}
 	return &Witness{Tree: tree, Query: tree.ExpansionQuery()}
 }
-
-// ContainsCQ is ContainsUCQ for a single conjunctive query.
-func ContainsCQ(prog *ast.Program, goal string, theta cq.CQ, opts Options) (Result, error) {
-	return ContainsUCQ(prog, goal, ucq.New(theta), opts)
-}

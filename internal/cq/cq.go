@@ -53,16 +53,10 @@ func (q CQ) Vars() []string {
 	return out
 }
 
-// DistinguishedVars returns the variable names occurring in the head.
-func (q CQ) DistinguishedVars() []string { return q.Head.Vars(nil) }
-
 // IsSafe reports whether every head variable occurs in the body.
 func (q CQ) IsSafe() bool {
 	return ast.Rule{Head: q.Head, Body: q.Body}.IsSafe()
 }
-
-// IsBoolean reports whether the query has no distinguished terms.
-func (q CQ) IsBoolean() bool { return len(q.Head.Args) == 0 }
 
 // Size returns the number of body atoms.
 func (q CQ) Size() int { return len(q.Body) }

@@ -5,15 +5,6 @@ package database
 // the shared interner.
 type Row []uint32
 
-// InternTuple interns every constant of t and returns the row.
-func InternTuple(t Tuple) Row {
-	r := make(Row, len(t))
-	for i, c := range t {
-		r[i] = Intern(c)
-	}
-	return r
-}
-
 // AppendInterned appends t's interned IDs to dst and returns it;
 // use with dst[:0] to reuse a scratch row across inserts.
 func AppendInterned(dst Row, t Tuple) Row {

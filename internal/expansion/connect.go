@@ -125,9 +125,6 @@ func (c *Connectivity) Distinguished(id ClassID) bool { return c.distinguished[i
 // if that argument is a constant.
 func (c *Connectivity) RootArgClass(i int) ClassID { return c.rootArgClass[i] }
 
-// NumClasses returns the number of connectedness classes.
-func (c *Connectivity) NumClasses() int { return int(c.next) }
-
 // ClassVarName returns a variable name for class id that is unique per
 // class, formed from the class's shared variable name.
 func (c *Connectivity) ClassVarName(id ClassID) string {

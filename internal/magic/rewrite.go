@@ -1,7 +1,6 @@
 package magic
 
 import (
-	"strconv"
 	"strings"
 
 	"datalogeq/internal/ast"
@@ -38,16 +37,12 @@ func Rewrite(prog *ast.Program, goal string, live *database.DB) *Result {
 	if !mayBind(prog) || !clearOf(prog, live) || eval.ValidateArities(prog, live) != nil {
 		return nil
 	}
-	arity := prog.GoalArity(goal)
-	if arity < 0 {
+	sym := ast.PredSym{Name: goal, Arity: prog.GoalArity(goal)}
+	if prog.Validate() != nil || !prog.IsIDB(sym) {
 		return nil
 	}
-	query := ast.Atom{Pred: goal, Args: make([]ast.Term, arity)}
-	for i := range query.Args {
-		query.Args[i] = ast.V("X" + strconv.Itoa(i))
-	}
-	res, jobs, err := transform(prog, query)
-	if err != nil || !goalDirected(prog, jobs) || !freshNames(prog, jobs, live) {
+	res, jobs := transform(prog, sym)
+	if !goalDirected(prog, jobs) || !freshNames(prog, jobs, live) {
 		return nil
 	}
 	for _, r := range res.Program.Rules {

@@ -185,51 +185,6 @@ func TestServedRewriteDifferential(t *testing.T) {
 	}
 }
 
-// TestServedRewriteShadowingMatters shows that the shadowing guards are
-// not vacuous: on these cases the rewrite, evaluated anyway, answers
-// differently from the program as sent.
-func TestServedRewriteShadowingMatters(t *testing.T) {
-	graph, err := parser.FactList(treeFacts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ name, live, src string }{
-		{"redefines the served tc", "", "tc(X, Y) :- b(X, Y).\ntc(X, Y) :- b(X, Z), tc(Z, Y).\nr(Y) :- tc(n1, Y)."},
-		{"live sg_bf", "sg_bf(n1, zz).", sgSrc + "r(X) :- sg(n1, X)."},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			facts := graph
-			if tc.live != "" {
-				extra, err := parser.FactList(tc.live)
-				if err != nil {
-					t.Fatal(err)
-				}
-				facts = append(slices.Clip(graph), extra...)
-			}
-			s := servedOver(t, facts, 0)
-			prog := parser.MustProgram(tc.src)
-			q := ast.Atom{Pred: "r", Args: []ast.Term{ast.V("X")}}
-			mr, err := magic.Transform(prog, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sent, _, err := eval.Eval(prog, s.h.DB(), eval.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rewritten, _, err := eval.Eval(mr.Program, s.h.DB(), eval.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, b := factLines(sent.Lookup("r"), "r"), factLines(rewritten.Lookup(mr.GoalPred), "r")
-			if slices.Equal(a, b) {
-				t.Fatalf("rewrite agrees with the program as sent (%q); the case does not exercise the guard", a)
-			}
-		})
-	}
-}
-
 // withConstants replaces up to n random body arguments of prog with
 // constants c0..c<domain-1>.
 func withConstants(rng *rand.Rand, prog *ast.Program, n, domain int) *ast.Program {

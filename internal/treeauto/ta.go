@@ -99,9 +99,6 @@ func New(states, symbols int) *TA {
 // NumStates returns the number of states.
 func (a *TA) NumStates() int { return a.numStates }
 
-// NumSymbols returns the alphabet size.
-func (a *TA) NumSymbols() int { return a.numSymbols }
-
 // NumTransitions returns the number of transition tuples.
 func (a *TA) NumTransitions() int {
 	n := 0

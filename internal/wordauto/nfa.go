@@ -42,9 +42,6 @@ func New(states, symbols int) *NFA {
 // NumStates returns the number of states.
 func (n *NFA) NumStates() int { return n.numStates }
 
-// NumSymbols returns the alphabet size.
-func (n *NFA) NumSymbols() int { return n.numSymbols }
-
 // NumTransitions returns the total number of transition edges.
 func (n *NFA) NumTransitions() int {
 	total := 0
@@ -62,9 +59,6 @@ func (n *NFA) AddStart(s int) { n.start = append(n.start, s) }
 
 // SetAccept marks state s as accepting.
 func (n *NFA) SetAccept(s int) { n.accept[s] = true }
-
-// IsAccept reports whether s is accepting.
-func (n *NFA) IsAccept(s int) bool { return n.accept[s] }
 
 // Start returns the start states.
 func (n *NFA) Start() []int { return n.start }
